@@ -29,12 +29,18 @@ pipelines" (§1). This module models their semantics at cycle granularity:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional, Tuple
 
 from repro.errors import ChannelDepthError, ChannelUsageError
 from repro.sim.core import Event, Simulator
 from repro.sim.resources import Store
+
+
+def _resolve(owner: Any) -> Any:
+    """The endpoint owner itself, through a weak reference if given one."""
+    return owner() if isinstance(owner, weakref.ref) else owner
 
 
 @dataclass
@@ -99,28 +105,35 @@ class Channel:
     # -- endpoint discipline ----------------------------------------------
 
     def bind_producer(self, owner: Any) -> None:
-        """Register ``owner`` as the single allowed producer."""
+        """Register ``owner`` as the single allowed producer.
+
+        Owners are compared by identity. Kernels bind through a weak
+        reference to themselves (see ``KernelInstance.endpoint_owner``);
+        :attr:`producer` and error messages show the kernel it refers to.
+        """
         if self._producer is not None and self._producer is not owner:
             raise ChannelUsageError(
-                f"channel {self.name!r} already has producer {self._producer!r}; "
-                f"cannot also bind {owner!r} (channels are single-producer)")
+                f"channel {self.name!r} already has producer {self.producer!r}; "
+                f"cannot also bind {_resolve(owner)!r} "
+                "(channels are single-producer)")
         self._producer = owner
 
     def bind_consumer(self, owner: Any) -> None:
         """Register ``owner`` as the single allowed consumer."""
         if self._consumer is not None and self._consumer is not owner:
             raise ChannelUsageError(
-                f"channel {self.name!r} already has consumer {self._consumer!r}; "
-                f"cannot also bind {owner!r} (channels are single-consumer)")
+                f"channel {self.name!r} already has consumer {self.consumer!r}; "
+                f"cannot also bind {_resolve(owner)!r} "
+                "(channels are single-consumer)")
         self._consumer = owner
 
     @property
     def producer(self) -> Any:
-        return self._producer
+        return _resolve(self._producer)
 
     @property
     def consumer(self) -> Any:
-        return self._consumer
+        return _resolve(self._consumer)
 
     # -- occupancy ---------------------------------------------------------
 
@@ -282,10 +295,16 @@ class CounterRegisterChannel(Channel):
     identical for every consumer that reads at normal/late priority (all
     pipeline read sites) — pinned by the lazy-vs-eager regression tests.
 
-    Only valid for the healthy depth-0 case: a compiled-depth override
-    (§3.1 limitation 1) builds a real FIFO whose staleness depends on the
-    actual write process, so :class:`~repro.core.timestamp.
-    PersistentTimestampService` falls back to the eager kernel there.
+    Two producers bind it: :class:`~repro.core.timestamp.
+    PersistentTimestampService` (``mode="lazy"``), and the frontend, which
+    recognises the Listing 1 autorun idiom in compiled source (see
+    :func:`repro.frontend.compiler.find_counter_registers`). Only valid
+    for the healthy depth-0 case: a compiled-depth override (§3.1
+    limitation 1) builds a real FIFO whose staleness depends on the
+    actual write process, so the timestamp service falls back to the
+    eager kernel there. Likewise the frontend keeps the eager kernel when
+    another autorun kernel reads the channel in the counter's own
+    intra-cycle lane, or any other kernel writes it.
 
     The channel is read-only from kernels — the producer is the (virtual)
     counter. ``freeze()`` models tearing the service down: the register

@@ -48,7 +48,8 @@ class SequenceService:
     """A sequence-number source usable from kernels under test."""
 
     def __init__(self, fabric: Fabric, name: str = "seq", start: int = 0) -> None:
-        self.fabric = fabric
+        # The fabric is not kept: kernels under test hold this service, and
+        # the fabric holds their engines (no reference cycle).
         self.channel = fabric.channels.declare(f"{name}_ch", depth=0,
                                                width_bits=32)
         self.kernel = SequenceServerKernel(self.channel, name=f"{name}_srv",

@@ -91,7 +91,8 @@ class PersistentTimestampService:
             # A compiler-overridden depth builds a real FIFO whose stale
             # contents depend on the actual write stream — must be eager.
             mode = "eager"
-        self.fabric = fabric
+        # The fabric is not kept: kernels under test hold this service, and
+        # the fabric holds their engines (no reference cycle).
         self.mode = mode
         self.channels: List[Channel] = []
         self.kernels: List[TimerServiceKernel] = []

@@ -45,7 +45,7 @@ class FaultyStencilKernel(SingleTaskKernel):
         i = ctx.iteration
         n = ctx.arg("n")
         offset = ctx.arg("offset")
-        memory = ctx._instance.fabric.memory
+        memory = ctx._instance.memory
         src = memory.buffer("src")
         dst = memory.buffer("dst")
 

@@ -8,7 +8,7 @@ static site label for memory operations — the frontend's equivalent of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 _COUNTER = [0]
 
@@ -28,6 +28,28 @@ def reset_node_ids() -> None:
     still produce trace records byte-identical to an in-process run.
     """
     _COUNTER[0] = 0
+
+
+def walk(root: "Node") -> Iterator["Node"]:
+    """Every node under ``root`` (itself included), in pre-order.
+
+    Iterative rather than a self-recursive closure: a closure that calls
+    itself is a reference cycle, which only the cycle collector frees.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = []
+        for field_name in node.__dataclass_fields__:
+            value = getattr(node, field_name)
+            for child in (value if isinstance(value, list) else (value,)):
+                if isinstance(child, Node):
+                    children.append(child)
+                elif isinstance(child, tuple):
+                    children.extend(element for element in child
+                                    if isinstance(element, Node))
+        stack.extend(reversed(children))
 
 
 @dataclass

@@ -233,8 +233,7 @@ def _collect_mutations(root: ast.Node) -> set:
     """
     mutated: set = set()
     declared: set = set()
-
-    def _walk(node: Any) -> None:
+    for node in ast.walk(root):
         if isinstance(node, ast.Assign) and isinstance(node.target, ast.Name):
             mutated.add(node.target.ident)
         elif isinstance(node, ast.IncDec):
@@ -251,18 +250,6 @@ def _collect_mutations(root: ast.Node) -> set:
                 if name in declared:
                     mutated.add(name)
                 declared.add(name)
-        for field_name in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, field_name)
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.Node):
-                    _walk(child)
-                elif isinstance(child, tuple):
-                    for element in child:
-                        if isinstance(element, ast.Node):
-                            _walk(element)
-
-    _walk(root)
     return mutated
 
 
@@ -622,7 +609,7 @@ class _BodyCompiler:
                 b = bf(f, c)
                 i = ifn(f, c)
                 if isinstance(b, str):
-                    store = c._instance.fabric.memory.buffer(b)
+                    store = c._instance.memory.buffer(b)
                     return store.address_of(i)
                 raise error_at(message, node)
             return _CExpr(fn)
@@ -631,7 +618,7 @@ class _BodyCompiler:
             b = (yield from bf(f, c)) if bg else bf(f, c)
             i = (yield from ifn(f, c)) if ig else ifn(f, c)
             if isinstance(b, str):
-                store = c._instance.fabric.memory.buffer(b)
+                store = c._instance.memory.buffer(b)
                 return store.address_of(i)
             raise error_at(message, node)
         return _CExpr(fn, gen=True)
@@ -1977,7 +1964,7 @@ class _PlanCompiler(_BodyCompiler):
             b = _bf(f, c)
             i = _ifn(f, c)
             if isinstance(b, str):
-                store = c._instance.fabric.memory.buffer(b)
+                store = c._instance.memory.buffer(b)
                 return store.address_of(i)
             raise error_at(message, _node)
         return _CExpr(fn)

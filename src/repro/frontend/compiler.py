@@ -5,7 +5,11 @@ channels in the fabric namespace (honouring ``depth`` attributes), builds
 a :class:`~repro.pipeline.kernel.Kernel` object per kernel function —
 autorun kernels start immediately, as programming the device would — and
 statically extracts each kernel's resource profile for the synthesis
-model.
+model. An autorun kernel in the Listing 1 free-running-counter idiom is
+installed as a lazy service instead: its channel becomes a
+:class:`~repro.channels.channel.CounterRegisterChannel` (see
+:func:`find_counter_registers`), so the counter costs no simulation
+event per cycle.
 
 Kernel dispatch mode follows AOCL semantics: a kernel that calls
 ``get_global_id`` is an NDRange kernel (launch with ``__global_size`` in
@@ -37,6 +41,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
+from repro.channels.channel import CounterRegisterChannel
 from repro.channels.registry import ChannelArray
 from repro.frontend import ast_nodes as ast
 from repro.frontend.codegen import (
@@ -66,77 +71,47 @@ DEFAULT_FRONTEND = "codegen"
 
 
 def _uses_global_id(node: Any) -> bool:
-    if isinstance(node, ast.Call) and node.func == "get_global_id":
-        return True
-    for field_name in getattr(node, "__dataclass_fields__", {}):
-        value = getattr(node, field_name)
-        children = value if isinstance(value, list) else [value]
-        for child in children:
-            if isinstance(child, ast.Node) and _uses_global_id(child):
-                return True
-            if isinstance(child, tuple):
-                for element in child:
-                    if isinstance(element, ast.Node) and _uses_global_id(element):
-                        return True
-    return False
-
-
-class _ProfileExtractor:
-    """Static resource analysis over a kernel's AST."""
-
-    def __init__(self) -> None:
-        self.profile = ResourceProfile(control_states=2)
-        self._store_targets: set = set()
-
-    def visit(self, node: Any) -> None:
-        if isinstance(node, ast.Assign) and isinstance(node.target, ast.Subscript):
-            self.profile.store_sites += 1
-            self._store_targets.add(id(node.target))
-        if isinstance(node, ast.Subscript):
-            # Heuristic: a subscript that is not a store target and whose
-            # base is a plain name is a candidate load site (channel-array
-            # subscripts are filtered by the zero-cost of being wrong here).
-            if id(node) not in self._store_targets and isinstance(
-                    node.base, ast.Name):
-                self.profile.load_sites += 1
-        if isinstance(node, ast.Binary):
-            if node.op in ("+", "-"):
-                self.profile.adders += 1
-            elif node.op == "*":
-                self.profile.multipliers += 1
-            else:
-                self.profile.logic_ops += 1
-        if isinstance(node, ast.IncDec) or (
-                isinstance(node, ast.Assign) and node.op in ("+=", "-=")):
-            self.profile.adders += 1
-        if isinstance(node, (ast.For, ast.While)):
-            self.profile.control_states += 4
-        if isinstance(node, ast.If):
-            self.profile.control_states += 2
-        if isinstance(node, ast.Call):
-            if node.func in CHANNEL_BUILTINS:
-                self.profile.channel_endpoints += 1
-            elif node.func not in ("get_global_id", "get_compute_id",
-                                   "get_global_size", "get_local_id",
-                                   "mem_fence"):
-                self.profile.hdl_modules += 1
-        for field_name in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, field_name)
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.Node):
-                    self.visit(child)
-                elif isinstance(child, tuple):
-                    for element in child:
-                        if isinstance(element, ast.Node):
-                            self.visit(element)
+    return any(isinstance(child, ast.Call) and child.func == "get_global_id"
+               for child in ast.walk(node))
 
 
 def extract_profile(kernel_def: ast.KernelDef) -> ResourceProfile:
     """Static per-compute-unit hardware content of one compiled kernel."""
-    extractor = _ProfileExtractor()
-    extractor.visit(kernel_def.body)
-    return extractor.profile
+    profile = ResourceProfile(control_states=2)
+    store_targets: set = set()
+    for node in ast.walk(kernel_def.body):
+        if isinstance(node, ast.Assign) and isinstance(node.target, ast.Subscript):
+            profile.store_sites += 1
+            store_targets.add(id(node.target))
+        if isinstance(node, ast.Subscript):
+            # Heuristic: a subscript that is not a store target and whose
+            # base is a plain name is a candidate load site (channel-array
+            # subscripts are filtered by the zero-cost of being wrong here).
+            if id(node) not in store_targets and isinstance(
+                    node.base, ast.Name):
+                profile.load_sites += 1
+        if isinstance(node, ast.Binary):
+            if node.op in ("+", "-"):
+                profile.adders += 1
+            elif node.op == "*":
+                profile.multipliers += 1
+            else:
+                profile.logic_ops += 1
+        if isinstance(node, ast.IncDec) or (
+                isinstance(node, ast.Assign) and node.op in ("+=", "-=")):
+            profile.adders += 1
+        if isinstance(node, (ast.For, ast.While)):
+            profile.control_states += 4
+        if isinstance(node, ast.If):
+            profile.control_states += 2
+        if isinstance(node, ast.Call):
+            if node.func in CHANNEL_BUILTINS:
+                profile.channel_endpoints += 1
+            elif node.func not in ("get_global_id", "get_compute_id",
+                                   "get_global_size", "get_local_id",
+                                   "mem_fence"):
+                profile.hdl_modules += 1
+    return profile
 
 
 def build_site_table(kernel_name: str, root: ast.Node) -> Dict[int, str]:
@@ -148,30 +123,14 @@ def build_site_table(kernel_name: str, root: ast.Node) -> Dict[int, str]:
     execution backends read the same table, which is what makes their op
     streams site-for-site identical.
     """
-    table: Dict[int, str] = {}
-
-    def _walk(node: Any) -> None:
-        table[node.node_id] = f"{kernel_name}:n{node.node_id}"
-        for field_name in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, field_name)
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.Node):
-                    _walk(child)
-                elif isinstance(child, tuple):
-                    for element in child:
-                        if isinstance(element, ast.Node):
-                            _walk(element)
-
-    _walk(root)
-    return table
+    return {node.node_id: f"{kernel_name}:n{node.node_id}"
+            for node in ast.walk(root)}
 
 
 def _collect_local_arrays(node: Any, defines: Dict[str, Any]) -> Dict[str, int]:
     """All ``__local type name[size]`` declarations in a kernel body."""
     found: Dict[str, int] = {}
-
-    def _walk(current: Any) -> None:
+    for current in ast.walk(node):
         if isinstance(current, ast.Declaration) and current.is_local:
             for name, _ in current.names:
                 size = current.array_sizes.get(name)
@@ -185,13 +144,6 @@ def _collect_local_arrays(node: Any, defines: Dict[str, Any]) -> Dict[str, int]:
                         f"__local array {name!r}: size must be a positive "
                         "constant (or a define)")
                 found[name] = size
-        for field_name in getattr(current, "__dataclass_fields__", {}):
-            value = getattr(current, field_name)
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.Node):
-                    _walk(child)
-    _walk(node)
     return found
 
 
@@ -267,16 +219,120 @@ def build_kernel_artifacts(definition: ast.KernelDef,
                                         tuple(hdl_names)))
 
 
+def _counter_idiom_channel(definition: ast.KernelDef,
+                           channels: Dict[str, ast.ChannelDecl]
+                           ) -> Optional[str]:
+    """The channel a kernel drives as a Listing 1 free-running counter.
+
+    Matches a parameterless autorun kernel with one compute unit whose
+    body is exactly ``int c = 0; while (1) { [uninitialised decls;] c++;
+    [x =] write_channel_nb_altera(ch, c); }``, where ``ch`` is a scalar
+    ``depth(0)`` channel and ``x`` one of the loop's declarations. Such a
+    kernel writes ``now - start + 1`` to ``ch`` every cycle and nothing
+    else; returns ``ch``, or None for any other kernel.
+    """
+    if (not definition.is_autorun or definition.num_compute_units != 1
+            or any(p.type_name != "void" for p in definition.parameters)):
+        return None
+    statements = definition.body.statements
+    if len(statements) != 2:
+        return None
+    init, loop = statements
+    if not (isinstance(init, ast.Declaration) and init.type_name == "int"
+            and not init.is_local and not init.array_sizes
+            and len(init.names) == 1):
+        return None
+    counter, start = init.names[0]
+    if not (isinstance(start, ast.IntLiteral) and start.value == 0
+            and isinstance(loop, ast.While)
+            and isinstance(loop.condition, ast.IntLiteral)
+            and loop.condition.value != 0
+            and isinstance(loop.body, ast.Block)
+            and len(loop.body.statements) >= 2):
+        return None
+    *declarations, step, write = loop.body.statements
+    loop_names = set()
+    for declaration in declarations:
+        if not (isinstance(declaration, ast.Declaration)
+                and not declaration.is_local and not declaration.array_sizes
+                and all(value is None for _, value in declaration.names)):
+            return None
+        loop_names.update(name for name, _ in declaration.names)
+    if not (isinstance(step, ast.ExprStatement)
+            and isinstance(step.expr, ast.IncDec) and step.expr.op == "++"
+            and step.expr.target.ident == counter
+            and isinstance(write, ast.ExprStatement)):
+        return None
+    call = write.expr
+    if isinstance(call, ast.Assign):
+        if not (call.op == "=" and isinstance(call.target, ast.Name)
+                and call.target.ident in loop_names):
+            return None
+        call = call.value
+    if not (isinstance(call, ast.Call) and call.func in CHANNEL_BUILTINS
+            and call.func.startswith("write_channel_nb")
+            and len(call.args) == 2
+            and all(isinstance(arg, ast.Name) for arg in call.args)
+            and call.args[1].ident == counter):
+        return None
+    channel = call.args[0].ident
+    declaration = channels.get(channel)
+    if (counter in loop_names or channel in loop_names or channel == counter
+            or declaration is None or declaration.count is not None
+            or declaration.depth != 0):
+        return None
+    return channel
+
+
+def _only_read_by(channel: str, definition: ast.KernelDef) -> bool:
+    """True if ``definition`` uses ``channel`` at most as a read argument,
+    and, being an autorun kernel, not at all (an autorun reader shares the
+    counter's intra-cycle lane, so its reads need the real writes)."""
+    uses, read_args = [], set()
+    for node in ast.walk(definition.body):
+        if isinstance(node, ast.Name) and node.ident == channel:
+            uses.append(node)
+        elif (isinstance(node, ast.Call) and node.args
+                and node.func in CHANNEL_BUILTINS
+                and node.func.startswith("read_channel")):
+            read_args.add(id(node.args[0]))
+    if definition.is_autorun:
+        return not uses
+    return all(id(node) in read_args for node in uses)
+
+
+def find_counter_registers(program_ast: ast.Program) -> Dict[str, str]:
+    """Autorun kernels that can run as lazy counter registers.
+
+    Maps each kernel matching the Listing 1 idiom (see
+    :func:`_counter_idiom_channel`) to its channel, provided every other
+    kernel only reads that channel and no other autorun kernel touches it.
+    A pure function of the AST, computed once per program image.
+    """
+    channels = {declaration.name: declaration
+                for declaration in program_ast.channels}
+    found: Dict[str, str] = {}
+    for definition in program_ast.kernels:
+        channel = _counter_idiom_channel(definition, channels)
+        if channel is not None and all(
+                _only_read_by(channel, other)
+                for other in program_ast.kernels if other is not definition):
+            found[definition.name] = channel
+    return found
+
+
 class _ProgramImage:
     """Parsed + codegenned program, independent of any fabric."""
 
-    __slots__ = ("ast", "macros", "artifacts")
+    __slots__ = ("ast", "macros", "artifacts", "counter_registers")
 
     def __init__(self, program_ast: ast.Program, macros: Dict[str, str],
                  artifacts: Dict[str, KernelArtifacts]) -> None:
         self.ast = program_ast
         self.macros = macros
         self.artifacts = artifacts
+        #: Autorun kernel name -> the channel it drives as a lazy counter.
+        self.counter_registers = find_counter_registers(program_ast)
 
 
 def _build_image(source: str, defines: Dict[str, Any], hdl_names,
@@ -521,12 +577,23 @@ class CompiledProgram:
         self.ast = image.ast
         self.macros = dict(image.macros)
 
+        # A Listing 1 timer runs as a lazy counter register: its channel
+        # computes now - start + 1 on demand instead of the kernel writing
+        # it every cycle (the same binding PersistentTimestampService uses).
+        counters = image.counter_registers if start_autorun else {}
+        counter_channels = set(counters.values())
+
         # Channel declarations (file scope) go into the fabric namespace.
         self._channel_bindings: Dict[str, Any] = {}
         for declaration in self.ast.channels:
             depth = declaration.depth
             depth = 1 if depth is None else depth
-            if declaration.count is None:
+            if declaration.name in counter_channels:
+                channel = fabric.channels.adopt(CounterRegisterChannel(
+                    fabric.sim, declaration.name,
+                    start_cycle=fabric.sim.now))
+                self._channel_bindings[declaration.name] = channel
+            elif declaration.count is None:
                 channel = fabric.channels.declare(declaration.name, depth=depth)
                 self._channel_bindings[declaration.name] = channel
             else:
@@ -556,7 +623,13 @@ class CompiledProgram:
 
         if start_autorun:
             for kernel in self.kernels.values():
-                if isinstance(kernel, CompiledAutorun):
+                if not isinstance(kernel, CompiledAutorun):
+                    continue
+                counter = counters.get(kernel.name)
+                if counter is not None:
+                    fabric.add_lazy_service(kernel,
+                                            self._channel_bindings[counter])
+                else:
                     args = (autorun_args or {}).get(kernel.name, {})
                     fabric.add_autorun(kernel, args)
 

@@ -367,7 +367,7 @@ class Interpreter:
             base = yield from self._eval(target.base, scope, ctx)
             index = yield from self._eval(target.index, scope, ctx)
             if isinstance(base, str):
-                store = ctx._instance.fabric.memory.buffer(base)
+                store = ctx._instance.memory.buffer(base)
                 return store.address_of(index)
         raise error_at(
             "& is only supported on __global buffer elements (and as the "

@@ -49,7 +49,7 @@ class MatMulKernel(SingleTaskKernel):
 
         if self.watchpoint is not None and ctx.iteration == (0, 0, 0):
             # Listing 11: add_watch(0, (size_t)&data_a[0]); done once.
-            buffer_a = ctx._instance.fabric.memory.buffer("data_a")
+            buffer_a = ctx._instance.memory.buffer("data_a")
             self.watchpoint.add_watch(ctx, 0,
                                       buffer_a.address_of(self.watch_element))
 
@@ -60,7 +60,7 @@ class MatMulKernel(SingleTaskKernel):
             self.stall_monitor.take_snapshot(ctx, 1, a)   # snapshot site 2
         if self.watchpoint is not None:
             # Monitor the read address for bound checking (Listing 11).
-            buffer_a = ctx._instance.fabric.memory.buffer("data_a")
+            buffer_a = ctx._instance.memory.buffer("data_a")
             self.watchpoint.monitor_address(
                 ctx, 0, buffer_a.address_of(i * col_a + k), a)
 
@@ -73,7 +73,7 @@ class MatMulKernel(SingleTaskKernel):
             if self.watchpoint is not None and self.watchpoint.units > 1:
                 # Monitor the write address for bound checking and value
                 # updates (second monitor id, as in Listing 11).
-                buffer_c = ctx._instance.fabric.memory.buffer("data_c")
+                buffer_c = ctx._instance.memory.buffer("data_c")
                 self.watchpoint.monitor_address(
                     ctx, 1, buffer_c.address_of(i * col_b + j), total)
 

@@ -139,7 +139,8 @@ class BatchPipelineEngine(PipelineEngine):
         self._b_commits: List[tuple] = []
         self._b_last_commit = 0
         self._advance_op: Any = None
-        # Bound trace writers per schema (rebuilt if the fabric hub swaps).
+        # The fabric's trace hub at launch, and bound writers per schema.
+        self.trace = fabric.trace
         self._writers: Dict[str, Any] = {}
 
     # -- launcher ----------------------------------------------------------
@@ -159,7 +160,7 @@ class BatchPipelineEngine(PipelineEngine):
                                       self._iteration_tags(),
                                       ops=plan.op_count)
             return
-        if self.fabric.memory.pending_commits:
+        if self.memory.pending_commits:
             yield from self._fallback("undrained posted stores",
                                       self._iteration_tags(),
                                       ops=plan.op_count)
@@ -196,11 +197,11 @@ class BatchPipelineEngine(PipelineEngine):
         # Values are positional in schema field order (batch.launch:
         # mode/rows/ops; batch.divergence: rows), via a bound writer per
         # schema so the hot fallback path skips record construction.
-        hub = self.fabric.trace
+        hub = self.trace
         if hub is None:
             return
         writer = self._writers.get(schema)
-        if writer is None or writer.hub is not hub:
+        if writer is None:
             writer = hub.writer(schema, kernel=self.kernel.name,
                                 cu=self.instance.compute_id)
             self._writers[schema] = writer
@@ -234,7 +235,7 @@ class BatchPipelineEngine(PipelineEngine):
 
     def _exec_nodes(self, nodes: tuple, rows: List[_Row],
                     start: int = 0) -> Optional[int]:
-        memory = self.fabric.memory
+        memory = self.memory
         read, written = self._b_read, self._b_written
         index = start
         count = len(nodes)
@@ -375,7 +376,7 @@ class BatchPipelineEngine(PipelineEngine):
             stats = lsu.stats
             box = self._b_boxes[key] = [
                 lsu._tail_time, 0, 0, stats.max_latency, 0,
-                stats.samples if self.fabric.keep_lsu_samples else None,
+                stats.samples if self.keep_lsu_samples else None,
                 lsu]
         return box
 
@@ -396,7 +397,7 @@ class BatchPipelineEngine(PipelineEngine):
         observer exists — the exclusivity gate held).
         """
         sim = self.sim
-        memory = self.fabric.memory
+        memory = self.memory
         start = sim.now
         heap = self._b_heap
         self._b_rows = rows
@@ -564,7 +565,7 @@ class BatchPipelineEngine(PipelineEngine):
         self._advance_op(row, now)
 
     def _b_retire(self, row: _Row, now: int) -> None:
-        if self.fabric.keep_lsu_samples:
+        if self.keep_lsu_samples:
             self.stats.iteration_trace.append((row.tag, row.issued_at, now))
         self._b_inflight -= 1
         self.stats.iterations_retired += 1

@@ -66,7 +66,7 @@ class KernelContext:
 
     @property
     def sim(self):
-        return self._instance.fabric.sim
+        return self._instance.sim
 
     @property
     def now(self) -> int:
@@ -171,8 +171,8 @@ class KernelContext:
 
     def channel(self, name: str):
         """Resolve a scalar channel declared in the program namespace."""
-        return self._instance.fabric.channels.get(name)
+        return self._instance.channels.get(name)
 
     def channel_array(self, name: str):
         """Resolve a channel array declared in the program namespace."""
-        return self._instance.fabric.channels.get_array(name)
+        return self._instance.channels.get_array(name)

@@ -38,6 +38,7 @@ Op execution has two interchangeable executors (see ``docs/PERFORMANCE.md``,
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -72,26 +73,36 @@ class _NonOpYield(Exception):
 
 
 class KernelInstance:
-    """One compute unit of a kernel: private locals, accumulators, endpoints."""
+    """One compute unit of a kernel: private locals, accumulators, endpoints.
+
+    Holds the fabric's clock, memory and channel namespace, and the fabric
+    itself only weakly: the fabric lists its engines, so a strong back
+    reference would make every finished fabric a reference cycle.
+    """
 
     def __init__(self, fabric: Any, kernel: Kernel, args: Dict[str, Any],
                  compute_id: int = 0) -> None:
-        self.fabric = fabric
+        self._fabric = weakref.ref(fabric)
+        self.sim = fabric.sim
+        self.memory = fabric.memory
+        self.channels = fabric.channels
         self.kernel = kernel
         self.args = dict(args or {})
         self.compute_id = compute_id
+        #: The identity channels bind endpoints against (SPSC enforcement).
+        #: Binding is at *kernel* granularity: replicated compute units of
+        #: one kernel and repeated launches of one host-interface kernel
+        #: are the same static endpoint in the compiled image. A weak
+        #: reference (CPython hands out one per kernel), because kernels
+        #: hold their channels and a channel holds its endpoints.
+        self.endpoint_owner = weakref.ref(kernel)
         self._locals = kernel.create_locals(fabric, compute_id)
         self._accumulators: Dict[str, Accumulator] = {}
 
     @property
-    def endpoint_owner(self) -> Kernel:
-        """The identity channels bind endpoints against (SPSC enforcement).
-
-        Binding is at *kernel* granularity: replicated compute units of one
-        kernel and repeated launches of one host-interface kernel are the
-        same static endpoint in the compiled image.
-        """
-        return self.kernel
+    def fabric(self) -> Any:
+        """The fabric this unit runs on (None once it has been freed)."""
+        return self._fabric()
 
     def local(self, name: str):
         try:
@@ -104,7 +115,7 @@ class KernelInstance:
     def accumulator(self, name: str) -> Accumulator:
         if name not in self._accumulators:
             self._accumulators[name] = Accumulator(
-                self.fabric.sim, f"{self.kernel.name}.{name}")
+                self.sim, f"{self.kernel.name}.{name}")
         return self._accumulators[name]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -136,9 +147,11 @@ class _OpExecutor:
 
     def __init__(self, fabric: Any, kernel: Kernel,
                  executor: str = "fast") -> None:
-        self.fabric = fabric
+        # Parts of the fabric, not the fabric (see KernelInstance).
         self.kernel = kernel
         self.sim = fabric.sim
+        self.memory = fabric.memory
+        self.keep_lsu_samples = fabric.keep_lsu_samples
         self._lsus: Dict[Tuple[str, str], LoadStoreUnit] = {}
         #: Site-name cache keyed by the static identity of a yield: the
         #: body's code object, suspended line, op class, and compute unit.
@@ -160,8 +173,8 @@ class _OpExecutor:
         key = (site, kind)
         if key not in self._lsus:
             self._lsus[key] = LoadStoreUnit(
-                self.sim, self.fabric.memory, site, kind,
-                keep_samples=self.fabric.keep_lsu_samples)
+                self.sim, self.memory, site, kind,
+                keep_samples=self.keep_lsu_samples)
         return self._lsus[key]
 
     @property
@@ -260,7 +273,7 @@ class _OpExecutor:
                         raise _NonOpYield(op)
                     send_value = yield from handler(self, generator, op,
                                                     compute_id, ctx)
-            except Interrupt:
+            except (Interrupt, GeneratorExit):
                 generator.close()
                 raise
             except _NonOpYield as bad:
@@ -297,7 +310,7 @@ class _OpExecutor:
             site = op.site or self._derive_site(generator, op, compute_id)
             try:
                 send_value = yield from self._execute(op, site, ctx)
-            except Interrupt:
+            except (Interrupt, GeneratorExit):
                 generator.close()
                 raise
             except BaseException as exc:
@@ -548,7 +561,7 @@ class PipelineEngine(_OpExecutor):
             if self._failure is None:
                 self._failure = exc
         finally:
-            if self.fabric.keep_lsu_samples:
+            if self.keep_lsu_samples:
                 self.stats.iteration_trace.append((tag, issued_at,
                                                    self.sim.now))
             self._retire()
@@ -646,10 +659,16 @@ class AutorunEngine(_OpExecutor):
             return
 
     def stop(self) -> None:
-        """Interrupt all compute units (tears the persistent kernels down)."""
+        """Tear the persistent kernels down: every compute unit ends now.
+
+        The units are killed rather than interrupted, so no event of theirs
+        stays queued: a parked unit could not act before its interrupt
+        anyway, and a queued event would keep the simulator (and the
+        fabric behind it) alive until the cycle collector ran.
+        """
         for process in self._processes:
             if process.is_alive:
-                process.interrupt("autorun stop")
+                process.kill()
         self._processes = []
 
     @property

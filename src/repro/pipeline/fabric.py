@@ -150,12 +150,17 @@ class Fabric:
         ``max_cycles`` guards against deadlocked designs (e.g. a blocking
         channel read whose producer never writes) — a real board would hang
         the same way; the simulator reports it instead.
+
+        Like ``Simulator.run(until=event)``, this returns once each event
+        is *processed*, not merely triggered: a triggered event still sits
+        in the queue, and a queued event ties the simulator in a reference
+        cycle, so a fabric dropped right after a run would wait for the
+        cycle collector.
         """
         sim = self.sim
-        pending = Event._PENDING
         burst_limit = max_cycles - _HORIZON
         for completion in completions:
-            while completion._value is pending:
+            while completion.callbacks is not None:
                 next_time = sim.peek()
                 if next_time is None:
                     raise SimulationError(
@@ -182,7 +187,7 @@ class Fabric:
                     # drained without the two peek() calls per step the
                     # old loop paid (they dominated the run() profile).
                     while (sim._wheel_count and sim._now <= burst_limit
-                           and completion._value is pending):
+                           and completion.callbacks is not None):
                         sim.step()
                         if sim._crashed:
                             sim._raise_crashed()

@@ -196,6 +196,21 @@ class Interrupt(Exception):
         return self.args[0]
 
 
+class _AllStale:
+    """Stale-target marker of a killed process: every wake-up is stale."""
+
+    __slots__ = ()
+
+    def __contains__(self, event: Event) -> bool:
+        return True
+
+    def remove(self, event: Event) -> None:
+        pass
+
+
+_ALL_STALE = _AllStale()
+
+
 class Process(Event):
     """A simulation coroutine.
 
@@ -232,6 +247,8 @@ class Process(Event):
         else:
             sim._schedule(init, delay=0, priority=PRIORITY_NORMAL)
             init.callbacks.append(self._resume)
+            # The init event is what an unstarted process waits on.
+            self._target = init
 
     @property
     def is_alive(self) -> bool:
@@ -257,6 +274,28 @@ class Process(Event):
             else:
                 self._stale.append(self._target)
         interrupt_event.callbacks.append(self._resume)
+
+    def kill(self) -> None:
+        """End the process now, without an interrupt event.
+
+        The generator is closed where it is parked (only its ``finally``
+        blocks run) and every later wake-up is dropped; the process
+        completes with value None, and its waiters, if any, resume as on
+        a normal return. Unlike :meth:`interrupt`, which queues an event,
+        this leaves nothing in the queue: that event would hold the
+        simulator in a reference cycle until it ran.
+        """
+        if self.triggered:
+            raise ProcessError(f"cannot kill finished process {self.name!r}")
+        self._stale = _ALL_STALE
+        self._target = None
+        self._generator.close()
+        self._ok = True
+        self._value = None
+        if self.callbacks:
+            self.sim._schedule(self, delay=0, priority=PRIORITY_NORMAL)
+        else:
+            self.callbacks = None
 
     def _resume(self, event: Event) -> None:
         stale = self._stale
@@ -538,10 +577,15 @@ class Simulator:
         """Process exactly one event."""
         event = self._pop_next()
         callbacks, event.callbacks = event.callbacks, None
-        if (type(event) is _BroadcastTick and len(callbacks) > 1
-                and type(self._now) is int):
-            self._step_broadcast(event, callbacks)
-            return
+        if type(event) is _BroadcastTick:
+            # A fired tick leaves the cache (unless a newer one replaced
+            # it): kept, it would tie the simulator in a reference cycle.
+            entry = self._broadcast_ticks.get(event.priority)
+            if entry is not None and entry[1] is event:
+                del self._broadcast_ticks[event.priority]
+            if len(callbacks) > 1 and type(self._now) is int:
+                self._step_broadcast(event, callbacks)
+                return
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:

@@ -192,6 +192,78 @@ class TestProcess:
         assert not process.is_alive
 
 
+class TestKill:
+    def test_kill_ends_a_parked_process_without_queueing(self, sim):
+        log = []
+        gate = sim.event()
+
+        def body():
+            try:
+                yield gate
+                log.append("woken")
+            finally:
+                log.append("closed")
+        process = sim.process(body())
+        sim.run()
+        process.kill()
+        assert log == ["closed"]
+        assert not process.is_alive and process.processed
+        assert sim.peek() is None
+        gate.succeed()
+        sim.run()
+        assert log == ["closed"]
+
+    def test_kill_before_start_never_runs_the_body(self, sim):
+        log = []
+
+        def body():
+            log.append("started")
+            yield sim.timeout(1)
+        process = sim.process(body())
+        process.kill()
+        sim.run()
+        assert log == [] and not process.is_alive
+
+    def test_waiters_resume_as_on_return(self, sim):
+        seen = []
+
+        def body():
+            yield sim.timeout(100)
+        process = sim.process(body())
+
+        def waiter():
+            seen.append((yield process))
+            seen.append(sim.now)
+        sim.process(waiter())
+        sim.run(until=3)
+        process.kill()
+        sim.run()
+        assert seen == [None, 3]
+
+    def test_kill_after_interrupt_drops_the_interrupt(self, sim):
+        log = []
+
+        def body():
+            try:
+                yield sim.timeout(100)
+            except Interrupt:
+                log.append("interrupted")
+        process = sim.process(body())
+        sim.run(until=2)
+        process.interrupt()
+        process.kill()
+        sim.run()
+        assert log == [] and not process.is_alive
+
+    def test_kill_finished_process_rejected(self, sim):
+        def body():
+            yield sim.timeout(1)
+        process = sim.process(body())
+        sim.run()
+        with pytest.raises(ProcessError):
+            process.kill()
+
+
 class TestSimulatorRun:
     def test_run_until_time_stops_before_later_events(self, sim):
         fired = []
