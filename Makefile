@@ -30,7 +30,7 @@ sweep-demo:
 	diff sweep_par.txt sweep_ser.txt && echo "parallel == serial"
 
 experiments:
-	python -m repro all
+	python -m repro run all
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null && echo OK; done

@@ -22,14 +22,12 @@ clients over the daemon; their stdout (and any ``--trace-out`` bundle)
 is byte-identical to the in-process forms because both sides share one
 codepath (:mod:`repro.experiments.registry` and the ``format_trace_*``
 helpers below).
-
-The pre-subcommand form (``repro-fpga fig2``) keeps working through a
-back-compat shim that maps it onto ``run``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -40,9 +38,6 @@ from repro.experiments import registry as _registry
 _EXPERIMENTS = _registry.EXPERIMENTS
 _TRACEABLE = _registry.TRACEABLE
 _PAPER_ORDER = _registry.PAPER_ORDER
-
-#: Pipeline-engine tiers selectable from the command line.
-_EXECUTORS = ("fast", "reference", "batch")
 
 
 def _add_run_parser(sub) -> None:
@@ -64,9 +59,6 @@ def _add_run_parser(sub) -> None:
                      help="with --trace-out: seal and flush the capture to "
                           "disk every N published rows (default 0 = one "
                           "flush at close)")
-    run.add_argument("--executor", choices=_EXECUTORS, default="fast",
-                     help="pipeline-engine tier for kernel launches "
-                          "(fig2/sec51/sec52; default: fast)")
     run.add_argument("--server", metavar="ADDR", default=None,
                      help="run on an emulation daemon ('host:port' or "
                           "'unix:/path') instead of in-process; output and "
@@ -90,9 +82,6 @@ def _add_bench_parser(sub) -> None:
     bench.add_argument("--filter", metavar="SUBSTRING", default=None,
                        help="run only benchmarks whose name contains "
                             "SUBSTRING (composes with --bench-only)")
-    bench.add_argument("--executor", choices=_EXECUTORS, default=None,
-                       help="pipeline-engine tier for executor-aware "
-                            "benchmarks (e.g. ndrange_batch)")
     bench.add_argument("--no-bench-check", action="store_true",
                        help="write the report without gating on the baseline")
     bench.add_argument("--update-baseline", action="store_true",
@@ -185,11 +174,6 @@ def _add_trace_parser(sub) -> None:
                             "of printing rows")
     query.add_argument("--by", metavar="COLUMN", default=None,
                        help="group the aggregation by COLUMN (e.g. site)")
-    query.add_argument("--engine", choices=("vector", "reference"),
-                       default="vector",
-                       help="query engine tier (default vector; reference "
-                            "= the row-at-a-time oracle, byte-identical "
-                            "output)")
 
     export = tsub.add_parser("export", help="export to chrome/csv/json")
     export.add_argument("store", help="path to a .ctb bundle")
@@ -198,11 +182,6 @@ def _add_trace_parser(sub) -> None:
                         "(chrome = Perfetto-loadable trace-event JSON)")
     export.add_argument("--schema", default=None,
                         help="schema to export (required for csv)")
-    export.add_argument("--engine", choices=("vector", "reference"),
-                        default="vector",
-                        help="query engine tier (default vector; reference "
-                             "= the row-at-a-time oracle, byte-identical "
-                             "output)")
     export.add_argument("-o", "--out", default=None,
                         help="output file (default: stdout)")
 
@@ -278,8 +257,7 @@ def _run_bench(args) -> int:
     try:
         report = harness.run_suite(names=args.bench_only,
                                    workers=args.workers,
-                                   name_filter=args.filter,
-                                   executor=args.executor)
+                                   name_filter=args.filter)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -310,8 +288,7 @@ def _run_bench(args) -> int:
 
 def _experiment_params(args) -> Dict[str, Any]:
     """Map run-subcommand flags to registry experiment params."""
-    return {"n": args.n, "num": args.num, "depth": args.depth,
-            "executor": args.executor}
+    return {"n": args.n, "num": args.num, "depth": args.depth}
 
 
 def _run_experiments(args) -> int:
@@ -431,16 +408,15 @@ def format_trace_query(store, opts: Dict[str, Any]) -> List[str]:
     """Render ``trace query`` output lines (shared with the server).
 
     ``opts`` mirrors the query flags: schema, kernel, cu, site, since,
-    until, limit, agg, by, engine. Bad aggregations (or an unknown
-    engine) raise ``ReproError`` — the caller maps that to exit status
-    2 / a ``bad_request`` error.
+    until, limit, agg, by. Bad aggregations raise ``ReproError`` — the
+    caller maps that to exit status 2 / a ``bad_request`` error.
     """
     from repro.trace.query import TraceQuery
 
     def as_list(value):
         return value if isinstance(value, (list, tuple)) else [value]
 
-    query = TraceQuery(store, engine=opts.get("engine") or "vector")
+    query = TraceQuery(store)
     if opts.get("schema"):
         query.schema(opts["schema"])
     if opts.get("kernel"):
@@ -471,8 +447,7 @@ def format_trace_query(store, opts: Dict[str, Any]) -> List[str]:
 def _trace_query_opts(args) -> Dict[str, Any]:
     return {"schema": args.schema, "kernel": args.kernel, "cu": args.cu,
             "site": args.site, "since": args.since, "until": args.until,
-            "limit": args.limit, "agg": args.agg, "by": args.by,
-            "engine": args.engine}
+            "limit": args.limit, "agg": args.agg, "by": args.by}
 
 
 def _run_trace_remote(args) -> int:
@@ -535,7 +510,7 @@ def _run_trace_tool(args) -> int:
     try:
         if args.format == "chrome":
             import json as _json
-            document = to_chrome_json(store, engine=args.engine)
+            document = to_chrome_json(store)
             problems = validate_chrome_events(
                 _json.loads(document)["traceEvents"])
             if problems:
@@ -548,10 +523,9 @@ def _run_trace_tool(args) -> int:
             if not args.schema:
                 print("error: csv export needs --schema", file=sys.stderr)
                 return 2
-            document = store_to_csv(store, args.schema, engine=args.engine)
+            document = store_to_csv(store, args.schema)
         else:
-            document = store_to_json(store, schema=args.schema,
-                                     engine=args.engine)
+            document = store_to_json(store, schema=args.schema)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -595,17 +569,7 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _shim_legacy_argv(argv: List[str]) -> List[str]:
-    """Map the pre-subcommand form onto ``run`` (back-compat)."""
-    if argv and argv[0] in set(_EXPERIMENTS) | {"all"}:
-        return ["run"] + argv
-    return argv
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point: dispatch run/bench/trace subcommands."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(_shim_legacy_argv(argv))
+def _dispatch(args) -> int:
     if args.command == "bench":
         return _run_bench(args)
     if args.command == "sweep":
@@ -615,6 +579,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "serve":
         return _run_serve(args)
     return _run_experiments(args)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point: dispatch run/bench/sweep/trace/serve subcommands.
+
+    A reader that closes stdout early (``repro-fpga run all | head``)
+    ends the run with status 1 instead of a ``BrokenPipeError``
+    traceback; the stdout descriptor is pointed at ``os.devnull`` so the
+    interpreter's exit-time flush of what is still buffered stays silent.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

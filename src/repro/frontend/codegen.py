@@ -1364,644 +1364,3 @@ def compile_kernel_body(definition: ast.KernelDef, *,
     compiler = _BodyCompiler(definition, site_table, defines, channel_kinds,
                              hdl_names, autorun)
     return compiler.compile()
-
-
-# ---------------------------------------------------------------------------
-# Batch plans: the op-stream segmenter behind ``executor="batch"``.
-#
-# A :class:`BatchPlan` is the same kernel body lowered one level further:
-# instead of one generator closure that *yields* memory ops, the body
-# becomes a flat program of plan nodes in which every global-memory
-# access is a first-class node (:class:`BLoad`/:class:`BStore`) and all
-# code between accesses is collapsed into straight-line pure segments
-# (:class:`BPure`). The batch engine (:mod:`repro.pipeline.batch`) runs
-# each segment once per work-item *row* over plain frame lists — no
-# generator frames, no scheduler round-trips — and replays the recorded
-# access stream analytically through the normal LSU path.
-#
-# Plans are deliberately partial: anything whose timing or shared state
-# cannot be replayed analytically (channels, barriers, __local memory,
-# HDL calls, autorun cycle boundaries, statically unresolved subscripts)
-# makes the kernel unplannable and ``compile_batch_plan`` returns a
-# fallback reason instead. The closure backend remains the execution
-# oracle; a plan only ever *reorders bookkeeping*, never semantics.
-# ---------------------------------------------------------------------------
-
-
-class _PlanBail(Exception):
-    """Raised during plan compilation when the body cannot be batched."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
-class _BNode:
-    """Base class for plan nodes; ``kind`` drives executor dispatch."""
-
-    __slots__ = ()
-    kind = -1
-
-
-class BPure(_BNode):
-    """Straight-line pure segment: ``fn(frame, ctx) -> control code``."""
-
-    __slots__ = ("fn",)
-    kind = 0
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-
-class BLoad(_BNode):
-    """One global-memory load site: ``frame[dst] = buffer[index_fn(...)]``."""
-
-    __slots__ = ("base_slot", "index_fn", "dst_slot", "site")
-    kind = 1
-
-    def __init__(self, base_slot: int, index_fn: Callable, dst_slot: int,
-                 site: str) -> None:
-        self.base_slot = base_slot
-        self.index_fn = index_fn
-        self.dst_slot = dst_slot
-        self.site = site
-
-
-class BStore(_BNode):
-    """One global-memory store site: ``buffer[index_fn(...)] = value_fn(...)``."""
-
-    __slots__ = ("base_slot", "index_fn", "value_fn", "site")
-    kind = 2
-
-    def __init__(self, base_slot: int, index_fn: Callable, value_fn: Callable,
-                 site: str) -> None:
-        self.base_slot = base_slot
-        self.index_fn = index_fn
-        self.value_fn = value_fn
-        self.site = site
-
-
-class BIf(_BNode):
-    """Conditional region; both arms are plan-node tuples."""
-
-    __slots__ = ("cond_fn", "then_nodes", "else_nodes")
-    kind = 3
-
-    def __init__(self, cond_fn: Callable, then_nodes: tuple,
-                 else_nodes: tuple) -> None:
-        self.cond_fn = cond_fn
-        self.then_nodes = then_nodes
-        self.else_nodes = else_nodes
-
-
-class BLoop(_BNode):
-    """Loop region. ``continue`` jumps to ``nodes[continue_index:]`` (the
-    for-step section) before re-entering from the top; the condition
-    section at the head ends with a :class:`BTest`."""
-
-    __slots__ = ("nodes", "continue_index")
-    kind = 4
-
-    def __init__(self, nodes: tuple, continue_index: int) -> None:
-        self.nodes = nodes
-        self.continue_index = continue_index
-
-
-class BTest(_BNode):
-    """Loop-condition probe: a falsy value exits the enclosing loop."""
-
-    __slots__ = ("cond_fn",)
-    kind = 5
-
-    def __init__(self, cond_fn: Callable) -> None:
-        self.cond_fn = cond_fn
-
-
-class BatchPlan:
-    """A kernel body lowered to a flat plan-node program.
-
-    ``binding_slots`` mirrors :attr:`CompiledBody.binding_slots`; frames
-    are independent of the closure backend's (slot numbering differs)
-    but are built from the same binding dict.
-    """
-
-    __slots__ = ("kernel_name", "n_slots", "binding_slots", "nodes",
-                 "op_count")
-
-    def __init__(self, kernel_name: str, n_slots: int,
-                 binding_slots: List[Tuple[str, int]], nodes: tuple) -> None:
-        self.kernel_name = kernel_name
-        self.n_slots = n_slots
-        self.binding_slots = binding_slots
-        self.nodes = nodes
-        self.op_count = _count_ops(nodes)
-
-    def make_frame(self, bindings: Dict[str, Any]) -> list:
-        """Fresh frame row for one work-item."""
-        frame = [_UNDEF] * self.n_slots
-        for name, slot in self.binding_slots:
-            frame[slot] = bindings[name]
-        return frame
-
-
-def _count_ops(nodes) -> int:
-    count = 0
-    for node in nodes:
-        if node.kind in (1, 2):
-            count += 1
-        elif node.kind == 3:
-            count += _count_ops(node.then_nodes)
-            count += _count_ops(node.else_nodes)
-        elif node.kind == 4:
-            count += _count_ops(node.nodes)
-    return count
-
-
-def _merge_pure(nodes) -> tuple:
-    """Collapse adjacent :class:`BPure` nodes into one segment closure.
-
-    Control codes short-circuit exactly like :meth:`_BodyCompiler._block`
-    sequencing, so merging preserves break/continue/return semantics.
-    """
-    out: list = []
-    run: list = []
-
-    def flush() -> None:
-        if not run:
-            return
-        if len(run) == 1:
-            out.append(run[0])
-        else:
-            fns = tuple(node.fn for node in run)
-
-            def fn(f, c, _fns=fns):
-                for sfn in _fns:
-                    ctl = sfn(f, c)
-                    if ctl is not None:
-                        return ctl
-            out.append(BPure(fn))
-        run.clear()
-
-    for node in nodes:
-        if node.kind == 0:
-            run.append(node)
-            continue
-        flush()
-        if node.kind == 3:
-            node = BIf(node.cond_fn, _merge_pure(node.then_nodes),
-                       _merge_pure(node.else_nodes))
-        elif node.kind == 4:
-            head = _merge_pure(node.nodes[:node.continue_index])
-            tail = _merge_pure(node.nodes[node.continue_index:])
-            node = BLoop(head + tail, len(head))
-        out.append(node)
-    flush()
-    return tuple(out)
-
-
-def _batch_bail_reason(root: ast.Node, hdl_names) -> Optional[str]:
-    """Static pre-scan for constructs a plan can never contain.
-
-    Non-blocking channel builtins compile to *pure* closures that mutate
-    shared channel state, so a purity probe alone cannot reject them —
-    this scan must run before plan compilation.
-    """
-    hdl = frozenset(hdl_names)
-    reason: List[Optional[str]] = [None]
-
-    def _walk(node: Any) -> None:
-        if reason[0] is not None:
-            return
-        if isinstance(node, ast.Call):
-            if node.func == "barrier":
-                reason[0] = "work-group barrier"
-                return
-            if node.func in CHANNEL_BUILTINS:
-                reason[0] = "channel operation"
-                return
-            if node.func in hdl:
-                reason[0] = "HDL library call"
-                return
-        elif isinstance(node, ast.Declaration) and node.is_local:
-            reason[0] = "__local memory"
-            return
-        for field_name in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, field_name)
-            children = value if isinstance(value, list) else [value]
-            for child in children:
-                if isinstance(child, ast.Node):
-                    _walk(child)
-                elif isinstance(child, tuple):
-                    for element in child:
-                        if isinstance(element, ast.Node):
-                            _walk(element)
-
-    _walk(root)
-    return reason[0]
-
-
-class _PlanCompiler(_BodyCompiler):
-    """Second lowering pass: closure segments + explicit memory-op nodes.
-
-    Strategy: *probe* each statement with the inherited closure compiler;
-    a non-generator result is already one maximal straight-line segment
-    and becomes a single :class:`BPure`. Generator statements are
-    decomposed structurally, hoisting each memory access into its own
-    plan node with pure ANF temporaries carrying values across the
-    splits. Because the pure fragments are compiled by the *same*
-    machinery as the closure backend, plan value semantics are equal by
-    construction.
-    """
-
-    # -- probe bookkeeping --------------------------------------------------
-
-    def _temp(self) -> int:
-        """Allocate an anonymous ANF temporary slot."""
-        slot = self._n_slots
-        self._n_slots += 1
-        self._kinds.append(K_UNKNOWN)
-        return slot
-
-    def _snapshot(self, scope: _SlotScope) -> tuple:
-        return (self._n_slots, list(self._kinds), set(self._hazard),
-                dict(self._hdl_slots), dict(scope.slots))
-
-    def _restore(self, scope: _SlotScope, snapshot: tuple) -> None:
-        (self._n_slots, self._kinds, self._hazard, self._hdl_slots,
-         slots) = snapshot
-        scope.slots = slots
-
-    def _spill(self, expr: _CExpr, steps: list) -> _CExpr:
-        """Force ``expr``'s evaluation (and side effects) to happen *now*
-        in plan order, returning a temp-slot read in its place."""
-        if expr.const is not _NOCONST:
-            return expr
-        slot = self._temp()
-        fn = expr.fn
-
-        def save(f, c, _s=slot, _fn=fn):
-            f[_s] = _fn(f, c)
-        steps.append(BPure(save))
-        return _CExpr(lambda f, c, _s=slot: f[_s])
-
-    # -- statements ---------------------------------------------------------
-
-    def _plan_stmt(self, node: ast.Node, scope: _SlotScope,
-                   hazard: bool) -> list:
-        if isinstance(node, ast.Declaration):
-            # Never probed: a probe would pre-declare the names, and the
-            # decomposition pass would then resolve initializer reads to
-            # the *new* slots instead of the outer ones.
-            return self._plan_declaration(node, scope, hazard)
-        snapshot = self._snapshot(scope)
-        gen, fn = self._stmt(node, scope, hazard)
-        if not gen:
-            return [BPure(fn)]
-        self._restore(scope, snapshot)
-        if isinstance(node, ast.Block):
-            inner = _SlotScope(scope)
-            nodes: list = []
-            for statement in node.statements:
-                nodes.extend(self._plan_stmt(statement, inner, hazard=False))
-            return nodes
-        if isinstance(node, ast.ExprStatement):
-            steps: list = []
-            value = self._plan_expr(node.expr, scope, steps)
-            vfn = value.fn
-
-            def run(f, c, _fn=vfn):
-                _fn(f, c)
-            steps.append(BPure(run))
-            return steps
-        if isinstance(node, ast.If):
-            return self._plan_if(node, scope)
-        if isinstance(node, ast.For):
-            return self._plan_for(node, scope)
-        if isinstance(node, ast.While):
-            return self._plan_while(node, scope)
-        if isinstance(node, ast.Return):
-            steps = []
-            value = self._plan_expr(node.value, scope, steps)
-            vfn = value.fn
-
-            def run_ret(f, c, _fn=vfn):
-                _fn(f, c)
-                return _RET
-            steps.append(BPure(run_ret))
-            return steps
-        if isinstance(node, ast.Switch):
-            raise _PlanBail("switch with memory operands")
-        raise _PlanBail(f"cannot batch {type(node).__name__}")
-
-    def _plan_declaration(self, node: ast.Declaration, scope: _SlotScope,
-                          hazard: bool) -> list:
-        steps: list = []
-        for name, initializer in node.names:
-            if node.is_local and name in node.array_sizes:
-                raise _PlanBail("__local memory")
-            if name in node.array_sizes:
-                size = node.array_sizes[name]
-                if isinstance(size, str):
-                    size_expr = self._read_name(size, node, scope)
-                else:
-                    size_expr = _const(size)
-                slot = self._declare(scope, name, K_PRIVATE, hazard)
-                sfn = size_expr.fn
-
-                def fn(f, c, _s=slot, _n=name, _sfn=sfn, _node=node):
-                    size_value = _sfn(f, c)
-                    if not isinstance(size_value, int) or size_value < 1:
-                        raise error_at(
-                            f"array {_n!r}: invalid size {size_value!r}",
-                            _node)
-                    f[_s] = [0] * size_value
-                steps.append(BPure(fn))
-                continue
-            if initializer is None:
-                slot = self._declare(scope, name, K_INT, hazard)
-
-                def fn(f, c, _s=slot):
-                    f[_s] = 0
-                steps.append(BPure(fn))
-                continue
-            kind = self._static_kind(initializer, scope)
-            isteps: list = []
-            init = self._plan_expr(initializer, scope, isteps)
-            slot = self._declare(scope, name,
-                                 kind if kind != K_UNKNOWN else K_UNKNOWN,
-                                 hazard)
-            steps.extend(isteps)
-            vfn = init.fn
-
-            def fn(f, c, _s=slot, _vfn=vfn):
-                f[_s] = _vfn(f, c)
-            steps.append(BPure(fn))
-        return steps
-
-    def _plan_if(self, node: ast.If, scope: _SlotScope) -> list:
-        csteps: list = []
-        condition = self._plan_expr(node.condition, scope, csteps)
-        if condition.const is not _NOCONST:
-            # Mirror _if constant folding: both branches claim slots,
-            # only the taken one is emitted.
-            if condition.const:
-                taken = self._plan_stmt(node.then_branch, scope, hazard=True)
-                if node.else_branch is not None:
-                    self._stmt(node.else_branch, scope, hazard=True)
-                return csteps + taken
-            self._stmt(node.then_branch, scope, hazard=True)
-            if node.else_branch is not None:
-                return csteps + self._plan_stmt(node.else_branch, scope,
-                                                hazard=True)
-            return csteps
-        then_nodes = tuple(self._plan_stmt(node.then_branch, scope,
-                                           hazard=True))
-        else_nodes: tuple = ()
-        if node.else_branch is not None:
-            else_nodes = tuple(self._plan_stmt(node.else_branch, scope,
-                                               hazard=True))
-        csteps.append(BIf(condition.fn, then_nodes, else_nodes))
-        return csteps
-
-    def _plan_while(self, node: ast.While, scope: _SlotScope) -> list:
-        csteps: list = []
-        condition = self._plan_expr(node.condition, scope, csteps)
-        body_nodes = self._plan_stmt(node.body, scope, hazard=True)
-        loop_nodes = csteps + [BTest(condition.fn)] + body_nodes
-        return [BLoop(tuple(loop_nodes), len(loop_nodes))]
-
-    def _plan_for(self, node: ast.For, scope: _SlotScope) -> list:
-        loop_scope = _SlotScope(scope)
-        nodes: list = []
-        if node.init is not None:
-            nodes.extend(self._plan_stmt(node.init, loop_scope, hazard=False))
-        csteps: list = []
-        condition = None
-        if node.condition is not None:
-            condition = self._plan_expr(node.condition, loop_scope, csteps)
-        body_nodes = self._plan_stmt(node.body, loop_scope, hazard=True)
-        ssteps: list = []
-        if node.step is not None:
-            step = self._plan_expr(node.step, loop_scope, ssteps)
-            sfn = step.fn
-
-            def run(f, c, _fn=sfn):
-                _fn(f, c)
-            ssteps.append(BPure(run))
-        loop_nodes = list(csteps)
-        if condition is not None:
-            loop_nodes.append(BTest(condition.fn))
-        continue_index = len(loop_nodes) + len(body_nodes)
-        loop_nodes.extend(body_nodes)
-        loop_nodes.extend(ssteps)
-        nodes.append(BLoop(tuple(loop_nodes), continue_index))
-        return nodes
-
-    # -- expressions --------------------------------------------------------
-
-    def _plan_expr(self, node: ast.Node, scope: _SlotScope,
-                   steps: list) -> _CExpr:
-        """Compile ``node`` so its memory accesses become plan nodes in
-        ``steps``; always returns a *pure* expression for the value.
-
-        Invariant: the returned expression is consumed (evaluated exactly
-        once) before any plan node appended after this call executes, so
-        pure side effects keep their program-order position."""
-        expr = self._expr(node, scope)
-        if not expr.gen:
-            return expr
-        if isinstance(node, ast.Cast):
-            return self._plan_expr(node.operand, scope, steps)
-        if isinstance(node, ast.Unary):
-            operand = self._plan_expr(node.operand, scope, steps)
-            ofn = operand.fn
-            if node.op == "-":
-                return _CExpr(lambda f, c, _fn=ofn: -_fn(f, c))
-            if node.op == "!":
-                return _CExpr(lambda f, c, _fn=ofn: 0 if _fn(f, c) else 1)
-            return _CExpr(lambda f, c, _fn=ofn: ~_fn(f, c))
-        if isinstance(node, ast.Binary):
-            if node.op in ("&&", "||"):
-                # A conditionally-evaluated side containing a memory op
-                # cannot be flattened into an unconditional schedule.
-                raise _PlanBail("short-circuit operator with memory operand")
-            left = self._plan_expr(node.left, scope, steps)
-            rsteps: list = []
-            right = self._plan_expr(node.right, scope, rsteps)
-            if rsteps:
-                # The left value (and its side effects) must land before
-                # the right side's memory ops execute.
-                left = self._spill(left, steps)
-                steps.extend(rsteps)
-            op_fn = _binop_fn(node.op, node)
-            lf, rf = left.fn, right.fn
-            return _CExpr(
-                lambda f, c, _op=op_fn, _lf=lf, _rf=rf: _op(_lf(f, c),
-                                                            _rf(f, c)))
-        if isinstance(node, ast.Subscript):
-            return self._plan_subscript(node, scope, steps)
-        if isinstance(node, ast.Assign):
-            return self._plan_assign(node, scope, steps)
-        if isinstance(node, ast.AddressOf):
-            return self._plan_address_of(node, scope, steps)
-        if isinstance(node, ast.Call):
-            name = node.func
-            if name == "barrier":
-                raise _PlanBail("work-group barrier")
-            if name in CHANNEL_BUILTINS:
-                raise _PlanBail("channel operation")
-            if name in self._hdl_names:
-                raise _PlanBail("HDL library call")
-            raise _PlanBail(f"call to {name!r}")
-        raise _PlanBail(
-            f"cannot batch {type(node).__name__} with memory operands")
-
-    def _plan_subscript(self, node: ast.Subscript, scope: _SlotScope,
-                        steps: list) -> _CExpr:
-        slot, kind = self._pristine_kind(node.base, scope)
-        if kind == K_PRIVATE:
-            idx = self._plan_expr(node.index, scope, steps)
-            ifn = idx.fn
-
-            def fn(f, c, _s=slot, _ifn=ifn, _node=node):
-                array = f[_s]
-                i = _ifn(f, c)
-                if not 0 <= i < len(array):
-                    raise error_at(
-                        f"private array index {i} out of range "
-                        f"[0, {len(array)})", _node)
-                return array[i]
-            return _CExpr(fn)
-        if kind == K_CHANARR:
-            idx = self._plan_expr(node.index, scope, steps)
-            ifn = idx.fn
-            return _CExpr(lambda f, c, _s=slot, _ifn=ifn: f[_s][_ifn(f, c)])
-        if kind == K_BUFFER:
-            idx = self._plan_expr(node.index, scope, steps)
-            dst = self._temp()
-            steps.append(BLoad(slot, idx.fn, dst, self._site(node)))
-            return _CExpr(lambda f, c, _d=dst: f[_d])
-        if kind == K_LOCAL:
-            raise _PlanBail("__local memory")
-        raise _PlanBail("subscript with statically unresolved base")
-
-    def _plan_assign(self, node: ast.Assign, scope: _SlotScope,
-                     steps: list) -> _CExpr:
-        target = node.target
-        if isinstance(target, ast.Name):
-            value = self._plan_expr(node.value, scope, steps)
-            # The inherited lowering handles store/compound/undeclared
-            # semantics; with a pure value it yields a pure expression.
-            return self._assign_name(node, target, value, scope)
-        compound = None if node.op == "=" else _compound_fn(node.op)
-        slot, kind = self._pristine_kind(target.base, scope)
-        if kind == K_PRIVATE:
-            value = self._plan_expr(node.value, scope, steps)
-            isteps: list = []
-            idx = self._plan_expr(target.index, scope, isteps)
-            if isteps:
-                value = self._spill(value, steps)
-                steps.extend(isteps)
-            vfn, ifn = value.fn, idx.fn
-
-            def fn(f, c, _s=slot, _vfn=vfn, _ifn=ifn, _node=node,
-                   _cp=compound):
-                v = _vfn(f, c)
-                array = f[_s]
-                i = _ifn(f, c)
-                if not 0 <= i < len(array):
-                    raise error_at(
-                        f"private array index {i} out of range "
-                        f"[0, {len(array)})", _node)
-                if _cp is not None:
-                    v = _cp(array[i], v)
-                array[i] = v
-                return v
-            return _CExpr(fn)
-        if kind == K_BUFFER:
-            value = self._plan_expr(node.value, scope, steps)
-            # Value before index, both exactly once, both before the
-            # memory ops — the closure's evaluation order.
-            value = self._spill(value, steps)
-            isteps = []
-            idx = self._plan_expr(target.index, scope, isteps)
-            steps.extend(isteps)
-            idx = self._spill(idx, steps)
-            result_fn = value.fn
-            if compound is not None:
-                current = self._temp()
-                steps.append(BLoad(slot, idx.fn, current,
-                                   self._site(target)))
-                combined = self._temp()
-                vfn = value.fn
-
-                def combine(f, c, _r=combined, _cur=current, _vfn=vfn,
-                            _cp=compound):
-                    f[_r] = _cp(f[_cur], _vfn(f, c))
-                steps.append(BPure(combine))
-                result_fn = lambda f, c, _r=combined: f[_r]   # noqa: E731
-            steps.append(BStore(slot, idx.fn, result_fn, self._site(node)))
-            return _CExpr(result_fn)
-        if kind == K_LOCAL:
-            raise _PlanBail("__local memory")
-        raise _PlanBail("subscript store with statically unresolved base")
-
-    def _plan_address_of(self, node: ast.AddressOf, scope: _SlotScope,
-                         steps: list) -> _CExpr:
-        target = node.target    # a Subscript: otherwise _expr is pure
-        base = self._plan_expr(target.base, scope, steps)
-        isteps: list = []
-        idx = self._plan_expr(target.index, scope, isteps)
-        if isteps:
-            base = self._spill(base, steps)
-            steps.extend(isteps)
-        bf, ifn = base.fn, idx.fn
-        message = ("& is only supported on __global buffer elements (and "
-                   "as the valid-flag argument of non-blocking channel "
-                   "reads)")
-
-        def fn(f, c, _bf=bf, _ifn=ifn, _node=node):
-            b = _bf(f, c)
-            i = _ifn(f, c)
-            if isinstance(b, str):
-                store = c._instance.memory.buffer(b)
-                return store.address_of(i)
-            raise error_at(message, _node)
-        return _CExpr(fn)
-
-    # -- entry --------------------------------------------------------------
-
-    def compile_plan(self) -> BatchPlan:
-        nodes = self._plan_stmt(self._definition.body, self._root,
-                                hazard=False)
-        return BatchPlan(
-            kernel_name=self._definition.name,
-            n_slots=self._n_slots,
-            binding_slots=sorted(self._root.slots.items()),
-            nodes=_merge_pure(nodes))
-
-
-def compile_batch_plan(definition: ast.KernelDef, *,
-                       site_table: Dict[int, str],
-                       defines: Dict[str, int],
-                       channel_kinds: Dict[str, int],
-                       hdl_names,
-                       autorun: bool) -> Tuple[Optional[BatchPlan], str]:
-    """Lower one kernel definition to a :class:`BatchPlan` if possible.
-
-    Returns ``(plan, "")`` on success or ``(None, reason)`` when the body
-    contains a construct the batch executor cannot replay analytically.
-    The arguments mirror :func:`compile_kernel_body` and must be the same
-    values, so plan sites match the closure backend's LSU identities.
-    """
-    if autorun:
-        return None, "autorun kernel"
-    reason = _batch_bail_reason(definition.body, hdl_names)
-    if reason is not None:
-        return None, reason
-    compiler = _PlanCompiler(definition, site_table, defines, channel_kinds,
-                             hdl_names, autorun)
-    try:
-        return compiler.compile_plan(), ""
-    except _PlanBail as bail:
-        return None, bail.reason

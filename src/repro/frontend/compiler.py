@@ -48,7 +48,6 @@ from repro.frontend.codegen import (
     K_CHANARR,
     K_CHANNEL,
     CompiledBody,
-    compile_batch_plan,
     compile_kernel_body,
 )
 from repro.frontend.interpreter import CHANNEL_BUILTINS, Interpreter
@@ -153,41 +152,16 @@ class KernelArtifacts:
     """Everything compiled once per (kernel, options), reused per fabric."""
 
     __slots__ = ("definition", "kind", "site_table", "local_arrays",
-                 "compiled_body", "_plan_inputs", "_batch_plan",
-                 "_batch_reason")
+                 "compiled_body")
 
     def __init__(self, definition: ast.KernelDef, kind: str,
                  site_table: Dict[int, str], local_arrays: Dict[str, int],
-                 compiled_body: Optional[CompiledBody],
-                 plan_inputs: Optional[tuple] = None) -> None:
+                 compiled_body: Optional[CompiledBody]) -> None:
         self.definition = definition
         self.kind = kind                      # "autorun" | "ndrange" | "task"
         self.site_table = site_table
         self.local_arrays = local_arrays
         self.compiled_body = compiled_body    # None under "reference"
-        self._plan_inputs = plan_inputs       # (defines, channel_kinds, hdl)
-        # Batch plan, compiled lazily so closure-only workloads (and the
-        # cold-compile path the benchmarks measure) never pay for it.
-        self._batch_plan = None
-        self._batch_reason: Optional[str] = None   # None = not compiled yet
-
-    def batch_plan(self) -> tuple:
-        """``(plan, reason)`` for the batch executor, compiled on first
-        request and cached on the artifact (shared by the program LRU)."""
-        if self._batch_reason is None:
-            if self.compiled_body is None or self._plan_inputs is None:
-                self._batch_plan = None
-                self._batch_reason = "reference frontend (no compiled body)"
-            else:
-                defines, channel_kinds, hdl_names = self._plan_inputs
-                self._batch_plan, self._batch_reason = compile_batch_plan(
-                    self.definition,
-                    site_table=self.site_table,
-                    defines=defines,
-                    channel_kinds=channel_kinds,
-                    hdl_names=hdl_names,
-                    autorun=self.kind == "autorun")
-        return self._batch_plan, self._batch_reason
 
 
 def build_kernel_artifacts(definition: ast.KernelDef,
@@ -214,9 +188,7 @@ def build_kernel_artifacts(definition: ast.KernelDef,
             hdl_names=hdl_names,
             autorun=kind == "autorun")
     return KernelArtifacts(definition, kind, site_table, local_arrays,
-                           compiled_body,
-                           plan_inputs=(dict(defines), dict(channel_kinds),
-                                        tuple(hdl_names)))
+                           compiled_body)
 
 
 def _counter_idiom_channel(definition: ast.KernelDef,
@@ -445,7 +417,6 @@ class _CompiledMixin:
             artifacts = build_kernel_artifacts(
                 definition, self._defines, channel_kinds,
                 hdl_modules.keys(), frontend)
-        self._artifacts = artifacts
         self._site_table = artifacts.site_table
         self._local_arrays = artifacts.local_arrays
         self._compiled_body = artifacts.compiled_body
@@ -486,10 +457,6 @@ class _CompiledMixin:
                                   autorun=self.kind == "autorun",
                                   site_table=self._site_table)
         return interpreter.run(self._definition.body, ctx, self._bindings(ctx))
-
-    def batch_plan(self) -> tuple:
-        """``(plan, reason)`` for ``executor="batch"`` (lazily compiled)."""
-        return self._artifacts.batch_plan()
 
     def resource_profile(self) -> ResourceProfile:
         return extract_profile(self._definition)

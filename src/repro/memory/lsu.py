@@ -102,39 +102,3 @@ class LoadStoreUnit:
         retire.callbacks.append(_finalize)
         sim._schedule(retire, delay=total_latency, priority=PRIORITY_NORMAL)
         return retire
-
-    def issue_at(self, now: int, buffer_name: str, index: int,
-                 value: Any = None) -> int:
-        """Analytically issue one access at cycle ``now``; returns the
-        absolute retirement cycle.
-
-        This is the batch executor's entry point: identical accounting to
-        :meth:`issue` (memory-controller bank state, in-order tail, LSU
-        stats) but with stats updated immediately and **no event
-        scheduled** — the caller owns the timeline and resumes the
-        work-item itself at the returned cycle. Because every retirement
-        precedes the launch's completion, omitting the event is
-        unobservable from outside the engine.
-        """
-        stats = self.stats
-        stats.issued += 1
-        if self.kind == "load":
-            _, latency = self.memory.load_timing(buffer_name, index, now=now)
-        else:
-            latency = self.memory.store_timing(buffer_name, index, value,
-                                               now=now)
-
-        raw_time = now + latency
-        tail = self._tail_time
-        retire_time = raw_time if raw_time >= tail else tail
-        self._tail_time = retire_time
-        total_latency = retire_time - now
-
-        stats.completed += 1
-        stats.total_latency += total_latency
-        if total_latency > stats.max_latency:
-            stats.max_latency = total_latency
-        stats.ordering_stall_cycles += retire_time - raw_time
-        if self._keep_samples:
-            stats.samples.append(total_latency)
-        return retire_time

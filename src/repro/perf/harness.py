@@ -369,124 +369,6 @@ def bench_sweep_scalability_grid() -> Tuple[float, Dict]:
     }
 
 
-#: The ``ndrange_batch`` workload: two convergent NDRange kernels (no
-#: divergent branches, no barriers) that the batch executor runs in table
-#: mode — elementwise vecadd and a flattened matmul with a uniform inner
-#: reduction loop.
-_NDRANGE_BATCH_SOURCE = """
-__kernel void vecadd(__global long* a, __global long* b, __global long* c) {
-    int gid = get_global_id(0);
-    c[gid] = a[gid] + b[gid];
-}
-
-__kernel void matmul(__global long* x, __global long* y, __global long* z,
-                     int col_a, int col_b) {
-    int gid = get_global_id(0);
-    int row = gid / col_b;
-    int col = gid % col_b;
-    long acc = 0;
-    for (int k = 0; k < col_a; k++) {
-        acc += x[row * col_a + k] * y[k * col_b + col];
-    }
-    z[gid] = acc;
-}
-"""
-
-
-def _ndrange_batch_round(executor: str) -> Tuple[int, float, List[str]]:
-    """One full run of both workload kernels under ``executor``.
-
-    Returns (simulated cycles, wall seconds, per-launch batch modes).
-    """
-    import numpy as np
-
-    from repro.frontend.compiler import compile_source
-    from repro.pipeline.fabric import Fabric
-
-    vec_n = 8192
-    rows, col_a, col_b = 24, 24, 24
-
-    modes: List[str] = []
-    cycles = 0
-    elapsed = 0.0
-
-    fabric = Fabric(keep_lsu_samples=False)
-    program = compile_source(fabric, _NDRANGE_BATCH_SOURCE)
-    fabric.memory.allocate("A", vec_n).fill(np.arange(vec_n) % 97)
-    fabric.memory.allocate("B", vec_n).fill(np.arange(vec_n) % 31)
-    fabric.memory.allocate("C", vec_n)
-    start = time.perf_counter()
-    engine = fabric.run_kernel(
-        program.kernel("vecadd"),
-        {"a": "A", "b": "B", "c": "C", "__global_size": vec_n},
-        executor=executor)
-    elapsed += time.perf_counter() - start
-    cycles += fabric.sim.now
-    modes.append(getattr(engine, "batch", None).mode
-                 if hasattr(engine, "batch") else "-")
-
-    fabric = Fabric(keep_lsu_samples=False)
-    program = compile_source(fabric, _NDRANGE_BATCH_SOURCE)
-    fabric.memory.allocate("X", rows * col_a).fill(
-        np.arange(rows * col_a) % 13)
-    fabric.memory.allocate("Y", col_a * col_b).fill(
-        np.arange(col_a * col_b) % 7)
-    fabric.memory.allocate("Z", rows * col_b)
-    start = time.perf_counter()
-    engine = fabric.run_kernel(
-        program.kernel("matmul"),
-        {"x": "X", "y": "Y", "z": "Z", "col_a": col_a, "col_b": col_b,
-         "__global_size": rows * col_b},
-        executor=executor)
-    elapsed += time.perf_counter() - start
-    cycles += fabric.sim.now
-    modes.append(getattr(engine, "batch", None).mode
-                 if hasattr(engine, "batch") else "-")
-    return cycles, elapsed, modes
-
-
-def bench_ndrange_batch(executor: str = "batch") -> Tuple[float, Dict]:
-    """Batch (columnar) work-item execution vs the per-iteration tiers.
-
-    Runs two convergent NDRange kernels compiled through the codegen
-    frontend — vecadd and a flattened matmul — once under each executor
-    tier and reports the requested tier's simulated-cycles-per-second
-    throughput. The detail records all three tiers' rates and the batch
-    speedups; the acceptance test gates ``speedup_vs_fast >= 3`` for the
-    default ``executor="batch"``. Per-tier cycle counts must agree
-    exactly (batch is bit-equal to the oracles) — a mismatch fails the
-    benchmark outright.
-    """
-    rates: Dict[str, float] = {}
-    cycle_counts: Dict[str, int] = {}
-    chosen = None
-    tiers = dict.fromkeys(("fast", "reference", executor))
-    for tier in tiers:
-        cycles, elapsed, modes = _ndrange_batch_round(tier)
-        rates[tier] = cycles / elapsed if elapsed else 0.0
-        cycle_counts[tier] = cycles
-        if tier == executor:
-            chosen = (cycles, elapsed, modes)
-    if len(set(cycle_counts.values())) != 1:
-        raise AssertionError(
-            f"executor tiers disagree on simulated cycles: {cycle_counts}")
-    cycles, elapsed, modes = chosen
-    fast_rate = rates["fast"]
-    reference_rate = rates["reference"]
-    value = rates[executor]
-    return value, {
-        "executor": executor,
-        "simulated_cycles": cycles,
-        "elapsed_s": elapsed,
-        "batch_modes": modes,
-        "fast_sim_cycles_per_s": fast_rate,
-        "reference_sim_cycles_per_s": reference_rate,
-        "speedup_vs_fast": value / fast_rate if fast_rate else 0.0,
-        "speedup_vs_reference": (
-            value / reference_rate if reference_rate else 0.0),
-    }
-
-
 def _build_trace_query_bundle(path: str) -> None:
     """Write the synthetic ~1M-row multi-schema ``.ctb`` bundle.
 
@@ -783,16 +665,11 @@ BENCHMARKS: Dict[str, Tuple[Callable[[], Tuple[float, Dict]], str, int]] = {
     "matmul_end_to_end": (bench_matmul_end_to_end, "sim-cycles/s", 3),
     "listings_frontend": (bench_listings_frontend, "sim-cycles/s", 3),
     "frontend_compile": (bench_frontend_compile, "programs/s", 3),
-    "ndrange_batch": (bench_ndrange_batch, "sim-cycles/s", 3),
     "trace_query_scan": (bench_trace_query_scan, "rows/s", 3),
     "trace_ingest": (bench_trace_ingest, "records/s", 3),
     "sweep_scalability_grid": (bench_sweep_scalability_grid, "points/s", 1),
     "server_warm_run": (bench_server_warm_run, "runs/s", 1),
 }
-
-#: Benchmarks that accept an ``executor=`` keyword (pipeline-engine tier).
-_EXECUTOR_AWARE = frozenset({"ndrange_batch"})
-
 
 def select_benchmarks(names: Optional[List[str]] = None,
                       name_filter: Optional[str] = None) -> List[str]:
@@ -821,22 +698,15 @@ def select_benchmarks(names: Optional[List[str]] = None,
 
 # -- suite driver -----------------------------------------------------------
 
-def run_benchmark_once(name: str, executor: Optional[str] = None) -> Dict:
-    """Execute one repeat of one benchmark — the sweep worker function.
-
-    ``executor`` is forwarded to executor-aware benchmarks (the
-    pipeline-engine tier to measure); others ignore it.
-    """
+def run_benchmark_once(name: str) -> Dict:
+    """Execute one repeat of one benchmark — the sweep worker function."""
     try:
         function, _, _ = BENCHMARKS[name]
     except KeyError:
         raise ValueError(
             f"unknown benchmark {name!r}; "
             f"known: {', '.join(sorted(BENCHMARKS))}") from None
-    if executor is not None and name in _EXECUTOR_AWARE:
-        value, detail = function(executor=executor)
-    else:
-        value, detail = function()
+    value, detail = function()
     return {"name": name, "value": value, "detail": detail}
 
 
@@ -850,8 +720,7 @@ def _median_run(runs: List[Dict]) -> Tuple[float, Dict, List[float]]:
 def run_suite(names: Optional[List[str]] = None,
               log: Callable[[str], None] = print,
               workers: Optional[int] = None, pool=None,
-              name_filter: Optional[str] = None,
-              executor: Optional[str] = None) -> Dict:
+              name_filter: Optional[str] = None) -> Dict:
     """Run the benchmarks and return the report dictionary.
 
     Each benchmark's repeats are aggregated to the median run. With
@@ -859,19 +728,16 @@ def run_suite(names: Optional[List[str]] = None,
     via ``pool``), repeats execute in worker processes through the sweep
     engine — faster wall clock, but concurrent repeats contend for
     cores, so keep the default serial mode for gate-quality numbers.
-    ``name_filter`` keeps benchmarks whose name contains the substring;
-    ``executor`` selects the pipeline-engine tier for executor-aware
-    benchmarks (see :data:`_EXECUTOR_AWARE`).
+    ``name_filter`` keeps benchmarks whose name contains the substring.
     """
     selected = select_benchmarks(names, name_filter)
     runs_by_name: Dict[str, List[Dict]] = {}
     if workers or pool is not None:
-        runs_by_name = _run_repeats_sharded(selected, workers, pool,
-                                            executor=executor)
+        runs_by_name = _run_repeats_sharded(selected, workers, pool)
     else:
         for name in selected:
             _, _, repeats = BENCHMARKS[name]
-            runs_by_name[name] = [run_benchmark_once(name, executor=executor)
+            runs_by_name[name] = [run_benchmark_once(name)
                                   for _ in range(repeats)]
     results: Dict[str, Dict] = {}
     for name in selected:
@@ -903,9 +769,7 @@ _SELF_PARALLEL = frozenset({"sweep_scalability_grid", "server_warm_run"})
 
 
 def _run_repeats_sharded(selected: List[str], workers: Optional[int],
-                         pool,
-                         executor: Optional[str] = None
-                         ) -> Dict[str, List[Dict]]:
+                         pool) -> Dict[str, List[Dict]]:
     """Fan (benchmark, repeat) pairs out to worker processes."""
     from repro.sweep import SweepPoint, SweepSpec, run_sweep
 
@@ -913,7 +777,7 @@ def _run_repeats_sharded(selected: List[str], workers: Optional[int],
     points = [
         SweepPoint(key=(name, index),
                    func="repro.perf.harness:run_benchmark_once",
-                   kwargs={"name": name, "executor": executor},
+                   kwargs={"name": name},
                    label=f"{name}#{index}")
         for name in selected if name not in _SELF_PARALLEL
         for index in range(BENCHMARKS[name][2])]
@@ -927,8 +791,7 @@ def _run_repeats_sharded(selected: List[str], workers: Optional[int],
         if name in _SELF_PARALLEL:
             _, _, repeats = BENCHMARKS[name]
             for _ in range(repeats):
-                runs_by_name[name].append(
-                    run_benchmark_once(name, executor=executor))
+                runs_by_name[name].append(run_benchmark_once(name))
     return runs_by_name
 
 

@@ -166,7 +166,7 @@ class _OpExecutor:
         elif executor != "fast":
             raise KernelBuildError(
                 f"unknown executor {executor!r} "
-                "(use 'fast', 'reference', or 'batch')")
+                "(use 'fast' or 'reference')")
 
     def lsu(self, site: str, kind: str) -> LoadStoreUnit:
         """Get-or-create the LSU backing one static memory site."""
@@ -513,15 +513,9 @@ class PipelineEngine(_OpExecutor):
 
     def _launcher(self) -> Generator:
         self.stats.start_cycle = self.sim.now
-        yield from self._launch_tags(self._iteration_tags())
-
-    def _iteration_tags(self) -> Any:
-        """The iteration space this launch walks (honouring any CU share)."""
-        return (self._space if self._space is not None
-                else self.kernel.iteration_space(self.instance.args))
-
-    def _launch_tags(self, space: Any) -> Generator:
         last_issue: Optional[int] = None
+        space = (self._space if self._space is not None
+                 else self.kernel.iteration_space(self.instance.args))
         for tag in space:
             if last_issue is not None:
                 gap = last_issue + self.config.ii - self.sim.now

@@ -88,32 +88,19 @@ class Fabric:
         """Launch a single-task or NDRange kernel; returns its engine.
 
         ``executor="reference"`` runs the launch through the retained
-        reference op executor (the pre-dispatch-table semantics oracle;
-        see ``docs/PERFORMANCE.md``). ``executor="batch"`` runs eligible
-        launches columnar-style across all work-items at once, falling
-        back to per-iteration stepping otherwise (see
-        :mod:`repro.pipeline.batch`).
+        reference op executor (the pre-dispatch-table semantics oracle
+        that the equivalence tests compare against; see
+        ``docs/PERFORMANCE.md``).
         """
-        engine = self._make_engine(kernel, args, compute_id, None, executor)
+        engine = PipelineEngine(self, kernel, args, compute_id=compute_id,
+                                executor=executor)
         engine.start()
         self.engines.append(engine)
         return engine
 
-    def _make_engine(self, kernel: Kernel, args: Optional[Dict[str, Any]],
-                     compute_id: int, space: Optional[Any],
-                     executor: str) -> PipelineEngine:
-        if executor == "batch":
-            # Imported lazily: repro.frontend (which batch needs for plan
-            # node types) itself imports this module at package init.
-            from repro.pipeline.batch import BatchPipelineEngine
-            return BatchPipelineEngine(self, kernel, args,
-                                       compute_id=compute_id, space=space)
-        return PipelineEngine(self, kernel, args, compute_id=compute_id,
-                              space=space, executor=executor)
-
     def launch_replicated(self, kernel: Kernel,
-                          args: Optional[Dict[str, Any]] = None,
-                          executor: str = "fast") -> List[PipelineEngine]:
+                          args: Optional[Dict[str, Any]] = None
+                          ) -> List[PipelineEngine]:
         """Launch all compute units of a replicated kernel.
 
         ``num_compute_units(N)`` on a (non-autorun) kernel splits the
@@ -126,8 +113,8 @@ class Fabric:
         engines = []
         for compute_id in range(count):
             share = space[compute_id::count]
-            engine = self._make_engine(kernel, args, compute_id, share,
-                                       executor)
+            engine = PipelineEngine(self, kernel, args,
+                                    compute_id=compute_id, space=share)
             engine.start()
             self.engines.append(engine)
             engines.append(engine)
@@ -135,10 +122,9 @@ class Fabric:
 
     def run_replicated(self, kernel: Kernel,
                        args: Optional[Dict[str, Any]] = None,
-                       max_cycles: int = 10_000_000,
-                       executor: str = "fast") -> List[PipelineEngine]:
+                       max_cycles: int = 10_000_000) -> List[PipelineEngine]:
         """Launch all compute units and run until every one completes."""
-        engines = self.launch_replicated(kernel, args, executor=executor)
+        engines = self.launch_replicated(kernel, args)
         self.run(*[engine.completion for engine in engines],
                  max_cycles=max_cycles)
         self.run(self.memory.drained(), max_cycles=max_cycles)

@@ -152,16 +152,6 @@ class Kernel:
         """Instantiate per-compute-unit local memories (default: none)."""
         return {}
 
-    def batch_plan(self) -> tuple:
-        """``(plan, reason)`` for ``executor="batch"``.
-
-        Python-IR kernels have no op-stream plan — their bodies are
-        opaque generators — so the batch engine transparently falls back
-        to per-iteration stepping for them. Frontend-compiled kernels
-        override this (:meth:`repro.frontend.compiler._CompiledMixin.batch_plan`).
-        """
-        return None, "Python-IR kernel (no op-stream plan)"
-
     def resource_profile(self) -> ResourceProfile:
         """Static per-compute-unit hardware content (default: tiny FSM)."""
         return ResourceProfile()

@@ -170,11 +170,3 @@ class CycleBoundary(Op):
     """Advance one clock cycle (autorun kernels' outer-loop heartbeat)."""
 
     __slots__ = ()
-
-
-#: Every concrete op class a kernel body may yield. The batch executor's
-#: plan compiler must either lower or statically reject each of these;
-#: ``tests/test_batch_divergence.py`` holds an exhaustiveness guard over
-#: this tuple so a new op cannot silently miss batch handling.
-ALL_OPS = (Load, Store, LoadLocal, StoreLocal, ReadChannel, WriteChannel,
-           Call, Compute, CollectReduction, MemFence, Barrier, CycleBoundary)

@@ -329,7 +329,6 @@ class ReproServer:
             "buffers": buffers,
             "defines": defines,
             "frontend": frontend,
-            "executor": params.get("executor", "fast"),
             "autorun_args": params.get("autorun_args"),
             "trace": bool(params.get("trace", False)),
         }
@@ -588,8 +587,7 @@ class ReproServer:
 
         store = session.make_store()
         try:
-            query = TraceQuery(store,
-                               engine=params.get("engine") or "vector")
+            query = TraceQuery(store)
             if params.get("schema"):
                 query.schema(params["schema"])
             if params.get("kernel"):

@@ -94,7 +94,6 @@ def execute_kernel_job(source: str, kernel: str,
                        buffers: Optional[Dict[str, Dict[str, Any]]] = None,
                        defines: Optional[Dict[str, int]] = None,
                        frontend: str = "codegen",
-                       executor: str = "fast",
                        autorun_args: Optional[Dict[str, Dict[str, Any]]] = None,
                        trace: bool = False,
                        max_cycles: int = 10_000_000) -> Dict[str, Any]:
@@ -140,7 +139,7 @@ def execute_kernel_job(source: str, kernel: str,
             from repro.core.vendor_profiler import VendorProfiler
             profiler = VendorProfiler(fabric)
         engine = fabric.run_kernel(program.kernel(kernel), launch_args,
-                                   max_cycles=max_cycles, executor=executor)
+                                   max_cycles=max_cycles)
         if hub is not None:
             from repro.trace.capture import publish_run_span
             publish_run_span(hub, kernel, engine.stats.start_cycle,

@@ -137,24 +137,10 @@ EMU_KERNEL = TraceSchema(
     ("iterations", "loads", "stores", "channel_reads", "channel_writes"),
     doc="Emulator per-kernel operation counts (timestamps are steps).")
 
-#: One record per batch-engine launch; ``mode`` is 1 when the launch ran
-#: columnar (table mode), 0 when it fell back to per-iteration stepping.
-#: ``site`` carries the human-readable fallback reason ("" in table mode).
-BATCH_LAUNCH = TraceSchema(
-    "batch.launch", ("mode", "rows", "ops"),
-    doc="Batch-executor launch outcome: mode, work-item rows, memory ops.")
-
-#: Emitted when a table-mode attempt aborts at run time (control-flow
-#: divergence across rows, or an intra-launch memory hazard); ``site``
-#: carries the abort reason. The launch then re-runs via fallback.
-BATCH_DIVERGENCE = TraceSchema(
-    "batch.divergence", ("rows",),
-    doc="Batch-executor run-time divergence/hazard abort (pre-fallback).")
-
 #: All schemas registered by default in every registry.
 BUILTIN_SCHEMAS: Tuple[TraceSchema, ...] = (
     LATENCY_SAMPLE, ORDER_RECORD, WATCH_EVENT, COUNTER_LSU, COUNTER_CHANNEL,
-    HOST_COMMAND, RUN_SPAN, EMU_KERNEL, BATCH_LAUNCH, BATCH_DIVERGENCE,
+    HOST_COMMAND, RUN_SPAN, EMU_KERNEL,
 )
 
 

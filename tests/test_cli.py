@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParser:
@@ -30,26 +37,10 @@ class TestParser:
         assert args.bench_only == ["event_throughput"]
         assert args.no_bench_check
 
-    def test_run_executor_flag(self):
-        args = build_parser().parse_args(["run", "fig2", "--executor", "batch"])
-        assert args.executor == "batch"
-        assert build_parser().parse_args(["run", "fig2"]).executor == "fast"
-
-    def test_run_executor_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig2", "--executor", "turbo"])
-
-    def test_bench_filter_and_executor_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--filter", "ndrange", "--executor", "batch"])
-        assert args.filter == "ndrange"
-        assert args.executor == "batch"
-        defaults = build_parser().parse_args(["bench"])
-        assert defaults.filter is None and defaults.executor is None
-
-    def test_bench_executor_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--executor", "turbo"])
+    def test_bench_filter_flag(self):
+        args = build_parser().parse_args(["bench", "--filter", "trace"])
+        assert args.filter == "trace"
+        assert build_parser().parse_args(["bench"]).filter is None
 
     def test_trace_subcommands(self):
         args = build_parser().parse_args(
@@ -64,21 +55,14 @@ class TestParser:
         assert "repro-fpga" in capsys.readouterr().out
 
 
-class TestLegacyShim:
-    """The pre-subcommand form keeps working through main()."""
-
-    def test_positional_experiment_still_runs(self, capsys):
-        assert main(["fig2", "--n", "4", "--num", "6"]) == 0
-        assert "Figure 2" in capsys.readouterr().out
-
-    def test_shim_only_touches_known_experiments(self):
-        from repro.cli import _shim_legacy_argv
-        assert _shim_legacy_argv(["fig2"]) == ["run", "fig2"]
-        assert _shim_legacy_argv(["all"]) == ["run", "all"]
-        assert _shim_legacy_argv(["bench"]) == ["bench"]
-        assert _shim_legacy_argv(["trace", "info", "x"]) == \
-            ["trace", "info", "x"]
-        assert _shim_legacy_argv([]) == []
+class TestSubcommandRequired:
+    def test_positional_experiment_is_a_usage_error(self, capsys):
+        """Experiments run only through ``run``; ``repro-fpga fig2`` is
+        rejected by argparse like any other unknown subcommand."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig2"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fig2'" in capsys.readouterr().err
 
 
 class TestMain:
@@ -102,12 +86,35 @@ class TestMain:
         assert main(["run", "sec52"]) == 0
         assert "bound violations" in capsys.readouterr().out
 
-    def test_fig2_batch_executor_output_matches_default(self, capsys):
-        assert main(["run", "fig2", "--n", "4", "--num", "6"]) == 0
-        default_out = capsys.readouterr().out
-        assert main(["run", "fig2", "--n", "4", "--num", "6",
-                     "--executor", "batch"]) == 0
-        assert capsys.readouterr().out == default_out
+
+class TestClosedStdout:
+    def test_reader_closing_early_leaves_no_traceback(self, tmp_path):
+        """``repro-fpga trace query ... | head -1``: the CLI exits non-zero
+        and quietly once its reader goes away. The query prints far more
+        than a pipe buffer holds, so the CLI is still writing when the
+        reader closes."""
+        from repro.trace import ColumnarSink, TraceHub
+
+        path = str(tmp_path / "big.ctb")
+        hub = TraceHub()
+        hub.attach(ColumnarSink(path, hub.registry))
+        for index in range(5000):
+            hub.emit("run.span", index, kernel="k", start=index,
+                     end=index + 1)
+        hub.close()
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "query", path,
+             "--limit", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) != 0
+        assert b"run.span" in first
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
 
 
 class TestBenchSelection:
@@ -115,7 +122,7 @@ class TestBenchSelection:
 
     def test_select_by_exact_name(self):
         from repro.perf.harness import select_benchmarks
-        assert select_benchmarks(names=["ndrange_batch"]) == ["ndrange_batch"]
+        assert select_benchmarks(names=["trace_ingest"]) == ["trace_ingest"]
 
     def test_select_unknown_name_raises(self):
         from repro.perf.harness import select_benchmarks
@@ -124,9 +131,9 @@ class TestBenchSelection:
 
     def test_select_by_substring_filter(self):
         from repro.perf.harness import BENCHMARKS, select_benchmarks
-        names = select_benchmarks(name_filter="ndrange")
-        assert names == [n for n in BENCHMARKS if "ndrange" in n]
-        assert "ndrange_batch" in names
+        names = select_benchmarks(name_filter="trace")
+        assert names == [n for n in BENCHMARKS if "trace" in n]
+        assert "trace_ingest" in names
 
     def test_filter_with_no_match_raises(self):
         from repro.perf.harness import select_benchmarks

@@ -261,6 +261,12 @@ class TestFabric:
         with pytest.raises(SimulationError, match="deadlock"):
             fabric.run_kernel(Blocked(name="blocked"), {})
 
+    @pytest.mark.parametrize("executor", ["batch", "turbo"])
+    def test_unknown_executor_rejected(self, fabric, executor):
+        with pytest.raises(KernelBuildError, match="unknown executor"):
+            fabric.launch(CopyKernel(name="copy"), {"n": 2},
+                          executor=executor)
+
     def test_advance_negative_rejected(self, fabric):
         with pytest.raises(KernelError):
             fabric.advance(-1)

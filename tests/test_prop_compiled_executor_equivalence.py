@@ -1,20 +1,18 @@
-"""Property test: ``executor="batch"`` is observationally equal to the
-reference executor.
+"""Property test: frontend-compiled NDRange kernels run identically under
+``executor="fast"`` and ``executor="reference"``.
 
-Hypothesis generates random NDRange kernels — arithmetic on
+``tests/test_prop_dispatch_equivalence.py`` drives hand-built Python
+kernels; this suite drives kernels that come out of the OpenCL-C
+frontend. Hypothesis generates random NDRange kernels — arithmetic on
 ``get_global_id``, divergent branches, private arrays, global loads and
-stores (including read-modify-write patterns that trip the intra-launch
-hazard detector) — and runs each under ``executor="batch"`` and
-``executor="reference"`` on independent fabrics. Every externally
+stores (including read-modify-write patterns on the output buffer) — and
+runs each under both executors on independent fabrics. Every externally
 observable surface must match exactly: buffer contents, ``sim.now``,
 engine statistics (including issue-stall cycles and the per-iteration
 trace), global-memory statistics and per-buffer traffic, and the
-per-(site, kind) LSU timing snapshots. Kernels the batch engine cannot
-table-execute (divergence, hazards, barriers, ``__local`` memory) must
-fall back transparently and still match — ``executor="batch"`` is always
-safe to request.
+per-(site, kind) LSU timing snapshots.
 
-Example budget: ``BATCH_EQUIV_EXAMPLES`` (default 60); CI runs a
+Example budget: ``COMPILED_EQUIV_EXAMPLES`` (default 60); CI runs a
 dedicated step with a larger budget.
 """
 
@@ -26,10 +24,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import AddressError, ProcessError
 from repro.frontend import compile_source, program_cache_clear
 from repro.pipeline.fabric import Fabric
 
-MAX_EXAMPLES = int(os.environ.get("BATCH_EQUIV_EXAMPLES", "60"))
+MAX_EXAMPLES = int(os.environ.get("COMPILED_EQUIV_EXAMPLES", "60"))
 
 _BUF = 16         # size of the in/out buffers
 _ACC = 8          # size of the private array
@@ -77,9 +76,8 @@ def _stmts(draw, depth=0, loop_depth=0):
 
     Statements referencing ``gid`` in branch conditions make control
     flow diverge across work-items; ``out[...] op=`` statements read and
-    write the output buffer, tripping the batch hazard detector. Both
-    force the batch engine down its fallback path — on purpose: the
-    property holds regardless of which path executes the launch.
+    write the output buffer, so in-flight work-items race on the same
+    addresses and the two executors must order those accesses alike.
     """
     node = draw(st.integers(0, 11))
     if node <= 2:
@@ -187,46 +185,41 @@ def _run_generated(source, global_size, executor, kernel="k",
     return fabric, engine
 
 
-def _assert_equivalent(batch, ref, buffers):
-    batch_fabric, batch_engine = batch
+def _assert_equivalent(fast, ref, buffers):
+    fast_fabric, fast_engine = fast
     ref_fabric, ref_engine = ref
-    assert batch_fabric.sim.now == ref_fabric.sim.now
-    bs, rs = batch_engine.stats, ref_engine.stats
-    assert (bs.iterations_issued, bs.iterations_retired) == \
+    assert fast_fabric.sim.now == ref_fabric.sim.now
+    fs, rs = fast_engine.stats, ref_engine.stats
+    assert (fs.iterations_issued, fs.iterations_retired) == \
         (rs.iterations_issued, rs.iterations_retired)
-    assert (bs.start_cycle, bs.finish_cycle) == \
+    assert (fs.start_cycle, fs.finish_cycle) == \
         (rs.start_cycle, rs.finish_cycle)
-    assert bs.issue_stall_cycles == rs.issue_stall_cycles
-    assert bs.iteration_trace == rs.iteration_trace
-    assert _lsu_snapshot(batch_engine) == _lsu_snapshot(ref_engine)
-    assert _memory_snapshot(batch_fabric) == _memory_snapshot(ref_fabric)
-    assert batch_fabric.memory.pending_commits == 0
+    assert fs.issue_stall_cycles == rs.issue_stall_cycles
+    assert fs.iteration_trace == rs.iteration_trace
+    assert _lsu_snapshot(fast_engine) == _lsu_snapshot(ref_engine)
+    assert _memory_snapshot(fast_fabric) == _memory_snapshot(ref_fabric)
+    assert fast_fabric.memory.pending_commits == 0
     assert ref_fabric.memory.pending_commits == 0
     for name in buffers:
-        batch_buffer = batch_fabric.memory.buffer(name)
+        fast_buffer = fast_fabric.memory.buffer(name)
         ref_buffer = ref_fabric.memory.buffer(name)
-        assert list(batch_buffer.snapshot()) == list(ref_buffer.snapshot()), \
+        assert list(fast_buffer.snapshot()) == list(ref_buffer.snapshot()), \
             f"buffer {name!r} diverged"
 
 
-class TestBatchEquivalence:
+class TestCompiledExecutorEquivalence:
     @given(source=_kernel_sources(), global_size=st.integers(0, 12))
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_batch_matches_reference(self, source, global_size):
+    def test_fast_matches_reference(self, source, global_size):
         program_cache_clear()
-        batch = _run_generated(source, global_size, "batch")
+        fast = _run_generated(source, global_size, "fast")
         ref = _run_generated(source, global_size, "reference")
-        outcome = batch[1].batch
-        assert outcome.mode in ("table", "fallback")
-        if outcome.mode == "table":
-            assert outcome.divergence == 0 and outcome.reason == ""
-        _assert_equivalent(batch, ref, ["IN", "OUT"])
+        _assert_equivalent(fast, ref, ["IN", "OUT"])
 
     @given(n=st.integers(1, 16))
     @settings(max_examples=max(4, MAX_EXAMPLES // 10), deadline=None)
-    def test_local_and_barrier_kernels_fall_back_and_match(self, n):
-        """The canonical __local + barrier work-group reverse: statically
-        ineligible for table mode, still bit-equal through the fallback."""
+    def test_local_and_barrier_kernel_matches_reference(self, n):
+        """The canonical __local + barrier work-group reverse."""
         source = """
         __kernel void reverse(__global int* in, __global int* out, int n) {
             __local int stage[%d];
@@ -237,35 +230,34 @@ class TestBatchEquivalence:
         }
         """ % _BUF
         program_cache_clear()
-        batch = _run_generated(source, n, "batch", kernel="reverse", n=n)
+        fast = _run_generated(source, n, "fast", kernel="reverse", n=n)
         ref = _run_generated(source, n, "reference", kernel="reverse", n=n)
-        assert batch[1].batch.mode == "fallback"
-        assert batch[1].batch.reason == "__local memory"
-        _assert_equivalent(batch, ref, ["IN", "OUT"])
-        assert list(batch[0].memory.buffer("OUT").snapshot())[:n] == \
-            list(batch[0].memory.buffer("IN").snapshot())[:n][::-1]
+        _assert_equivalent(fast, ref, ["IN", "OUT"])
+        assert list(fast[0].memory.buffer("OUT").snapshot())[:n] == \
+            list(fast[0].memory.buffer("IN").snapshot())[:n][::-1]
 
 
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-@pytest.mark.skipif(_cpus() < 4,
-                    reason="wall-clock speedup gate needs an unloaded host "
-                           "with >= 4 CPUs")
-class TestBatchSpeedupGate:
-    def test_ndrange_batch_speedup_floor(self):
-        """The tentpole's acceptance floor: >= 3x sim-cycles/s over the
-        fast executor on the convergent NDRange benchmark workload."""
-        from repro.perf import harness
-
-        value, detail = harness.bench_ndrange_batch()
-        assert detail["batch_modes"] == ["table", "table"]
-        assert detail["speedup_vs_fast"] >= 3.0, (
-            f"batch speedup {detail['speedup_vs_fast']:.2f}x < 3x "
-            f"(batch {value:,.0f} vs fast "
-            f"{detail['fast_sim_cycles_per_s']:,.0f} sim-cycles/s)")
-        assert value > 0
+class TestAddressErrors:
+    def test_out_of_range_index_raises_address_error(self):
+        """A wild global index surfaces as the memory model's
+        AddressError, chained under the kernel's ProcessError."""
+        program_cache_clear()
+        source = """
+        __kernel void k(__global int* in, __global int* out, int n) {
+            int gid = get_global_id(0);
+            out[gid + n] = in[gid];
+        }
+        """
+        fabric = Fabric()
+        program = compile_source(fabric, source)
+        fabric.memory.allocate("IN", 8).fill(np.arange(8) + 1)
+        fabric.memory.allocate("OUT", 8)
+        with pytest.raises(ProcessError) as exc_info:
+            fabric.run_kernel(program.kernel("k"),
+                              {"in": "IN", "out": "OUT", "n": 8,
+                               "__global_size": 8}, executor="fast")
+        cause = exc_info.value.__cause__
+        while cause is not None and not isinstance(cause, AddressError):
+            cause = cause.__cause__
+        assert isinstance(cause, AddressError)
+        assert "index 8 out of range [0, 8)" in str(exc_info.value)

@@ -284,27 +284,39 @@ class TestServerRoundTrip:
             client.query(schema="run.span", agg="nope")
         assert excinfo.value.code == protocol.E_BAD_REQUEST
 
-    def test_trace_query_engine_parity(self, client):
-        client.run_experiment("fig2", params={"n": 4, "num": 6}, trace=True)
-        vector = client.query(schema="run.span", engine="vector")
-        reference = client.query(schema="run.span", engine="reference")
-        assert vector == reference
-        with pytest.raises(ServerError) as excinfo:
-            client.query(engine="turbo")
-        assert excinfo.value.code == protocol.E_BAD_REQUEST
+    def test_trace_query_engine_parity(self, client, tmp_path):
+        """Server-side filtering returns what the reference engine finds
+        in-process over the same records."""
+        from repro.trace.columnar import ColumnarStore
+        from repro.trace.query import TraceQuery
 
-    def test_store_query_engine_parity(self, client, tmp_path):
         client.subscribe()
         client.run_experiment("fig2", params={"n": 4, "num": 6}, trace=True)
         path = str(tmp_path / "parity.ctb")
         client.save_trace(path)
-        opts = {"path": path, "schema": "order.record",
-                "agg": "seq", "by": "kernel"}
-        vector = client.call("trace.store_query",
-                             {**opts, "engine": "vector"})
-        reference = client.call("trace.store_query",
-                                {**opts, "engine": "reference"})
-        assert vector["lines"] == reference["lines"]
+        reference = TraceQuery(ColumnarStore.load(path), engine="reference")
+        expected = reference.schema("run.span").rows()
+        assert expected
+        assert client.query(schema="run.span")["rows"] == expected
+
+    def test_store_query_engine_parity(self, client, tmp_path):
+        from repro.trace.columnar import ColumnarStore
+        from repro.trace.query import TraceQuery
+
+        client.subscribe()
+        client.run_experiment("fig2", params={"n": 4, "num": 6}, trace=True)
+        path = str(tmp_path / "parity.ctb")
+        client.save_trace(path)
+        lines = client.call("trace.store_query",
+                            {"path": path, "schema": "order.record",
+                             "agg": "seq", "by": "kernel"})["lines"]
+        reference = TraceQuery(ColumnarStore.load(path), engine="reference")
+        result = reference.schema("order.record").aggregate("seq", by="kernel")
+        assert lines[1:] == [
+            f"{str(key):36s} {result[key].count:8d} "
+            f"{result[key].minimum:10d} {result[key].maximum:10d} "
+            f"{result[key].mean:12.2f}"
+            for key in sorted(result, key=str)]
 
     def test_store_rendering_matches_cli(self, client, tmp_path):
         from repro.cli import format_trace_info, format_trace_query

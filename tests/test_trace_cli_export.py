@@ -21,6 +21,7 @@ from repro.trace.export import (
     to_chrome_json,
     validate_chrome_events,
 )
+from repro.trace.query import TraceQuery
 
 
 @pytest.fixture(scope="module")
@@ -95,23 +96,34 @@ class TestCliPipeline:
 
 
 class TestCliEngineParity:
-    """``--engine reference`` output is byte-identical to the default."""
+    """CLI output is byte-identical to the in-process reference engine."""
 
     def _stdout(self, capsys, argv):
         assert main(argv) == 0
         return capsys.readouterr().out
 
+    def _reference(self, fig2_bundle):
+        query = TraceQuery(ColumnarStore.load(fig2_bundle), engine="reference")
+        return query.schema("order.record")
+
     def test_query_rows_stdout_identical(self, fig2_bundle, capsys):
         argv = ["trace", "query", fig2_bundle, "--schema", "order.record",
                 "--limit", "7"]
-        assert self._stdout(capsys, argv + ["--engine", "vector"]) == \
-            self._stdout(capsys, argv + ["--engine", "reference"])
+        rows = self._reference(fig2_bundle).limit(7).rows()
+        expected = [str(row) for row in rows] + [f"({len(rows)} row(s))"]
+        assert self._stdout(capsys, argv) == "\n".join(expected) + "\n"
 
     def test_query_aggregate_stdout_identical(self, fig2_bundle, capsys):
         argv = ["trace", "query", fig2_bundle, "--schema", "order.record",
                 "--agg", "inner", "--by", "kernel"]
-        assert self._stdout(capsys, argv + ["--engine", "vector"]) == \
-            self._stdout(capsys, argv + ["--engine", "reference"])
+        result = self._reference(fig2_bundle).aggregate("inner", by="kernel")
+        lines = self._stdout(capsys, argv).splitlines()
+        assert len(lines) == 1 + len(result)
+        for line, key in zip(lines[1:], sorted(result, key=str)):
+            agg = result[key]
+            assert line == (f"{str(key):36s} {agg.count:8d} "
+                            f"{agg.minimum:10d} {agg.maximum:10d} "
+                            f"{agg.mean:12.2f}")
 
     @pytest.mark.parametrize("fmt,extra", [
         ("chrome", []),
@@ -120,13 +132,19 @@ class TestCliEngineParity:
     ])
     def test_export_bytes_identical(self, fig2_bundle, tmp_path, capsys,
                                     fmt, extra):
-        vector = tmp_path / "vector.out"
-        reference = tmp_path / "reference.out"
+        out = tmp_path / f"cli.{fmt}"
         argv = ["trace", "export", fig2_bundle, "--format", fmt] + extra
-        assert main(argv + ["--engine", "vector", "-o", str(vector)]) == 0
-        assert main(argv + ["--engine", "reference",
-                            "-o", str(reference)]) == 0
-        assert vector.read_bytes() == reference.read_bytes()
+        assert main(argv + ["-o", str(out)]) == 0
+        store = ColumnarStore.load(fig2_bundle)
+        expected = {
+            "chrome": lambda: to_chrome_json(store, engine="reference"),
+            "csv": lambda: store_to_csv(store, "order.record",
+                                        engine="reference"),
+            "json": lambda: store_to_json(store, engine="reference"),
+        }[fmt]()
+        if not expected.endswith("\n"):
+            expected += "\n"
+        assert out.read_text() == expected
 
 
 class TestChromeExporter:
