@@ -210,11 +210,6 @@ def _add_serve_parser(sub) -> None:
                             "backpressure (default 8)")
     serve.add_argument("--max-sessions", type=int, default=64, metavar="N",
                        help="concurrent session limit (default 64)")
-    serve.add_argument("--trace-flush-rows", type=int, default=0,
-                       metavar="N",
-                       help="split streamed trace batches into segments of "
-                            "at most N rows (default 0 = one segment per "
-                            "schema per batch; sessions may override)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +294,7 @@ def _run_experiments(args) -> int:
     if args.trace_out:
         from repro.trace.columnar import ColumnarSink
         from repro.trace.hub import TraceHub
-        hub = TraceHub(flush_rows=args.trace_flush_rows)
+        hub = TraceHub(keep_records=False, flush_rows=args.trace_flush_rows)
         sink = hub.attach(ColumnarSink(args.trace_out, hub.registry))
     names = _PAPER_ORDER if args.experiment == "all" else (args.experiment,)
     params = _experiment_params(args)
@@ -549,8 +544,7 @@ def _run_serve(args) -> int:
         host=args.host, port=args.port, socket_path=args.socket,
         workers=args.workers,
         session_queue_limit=args.session_queue_limit,
-        max_sessions=args.max_sessions,
-        trace_flush_rows=args.trace_flush_rows)
+        max_sessions=args.max_sessions)
     server = ReproServer(config)
     server.warm()
 

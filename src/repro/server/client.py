@@ -6,20 +6,15 @@ wrappers (``repro-fpga run --server``, ``repro-fpga trace --server``)
 and tests stay simple. Server-push notifications that arrive while a
 call waits for its response are stashed:
 
-* ``trace.segment`` payloads are decoded back into
+* ``trace.segment`` frames are decoded back into
   :class:`~repro.trace.columnar.Segment` objects (``client.segments``),
-  ready for :meth:`Client.save_trace`;
+  ready for :meth:`Client.save_trace` — each frame's raw column bytes
+  follow its notification line and are wrapped zero-copy, with no
+  per-record rebuild;
 * ``kernel.complete`` results land in ``client.completions`` keyed by
   job id (:meth:`Client.wait` prefers the stash, falling back to the
   server-side ``job.wait``);
 * everything else accumulates in ``client.notifications``.
-
-:meth:`Client.open_session` requests binary segment frames by default
-(``binary_segments: true``): the server then follows each
-``trace.segment`` line with the raw column bytes, which the client
-wraps zero-copy — no base64 decode, no per-record rebuild. A server
-predating the capability ignores the flag and keeps sending base64;
-both encodings land in ``client.segments`` identically.
 
 :meth:`Client.save_trace` writes the streamed segments to a ``.ctb``
 bundle byte-identical to what a local in-process run with
@@ -31,7 +26,7 @@ close).
 from __future__ import annotations
 
 import socket
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.server import protocol
 from repro.server.protocol import ServerError
@@ -107,16 +102,8 @@ class Client:
             self.segment_batches.append(
                 {key: params[key] for key in ("batch", "rows")
                  if key in params} | {"replay": bool(params.get("replay"))})
-            if params.get("encoding") == "binary":
-                # Binary frame: each header's payload follows the
-                # notification line, in listing order.
-                for header in params.get("segments", ()):
-                    data = self._read_exact(int(header["length"]))
-                    self.segments.append(
-                        protocol.segment_from_header(header, data))
-            else:
-                for wire in params.get("segments", ()):
-                    self.segments.append(protocol.segment_from_wire(wire))
+            self.segments.extend(
+                protocol.read_segment_frame(params, self._read_exact))
         elif method == "kernel.complete":
             self.completions[params.get("job")] = params
         else:
@@ -160,7 +147,6 @@ class Client:
         return self.call("server.shutdown")
 
     def open_session(self, **params: Any) -> Dict[str, Any]:
-        params.setdefault("binary_segments", True)
         result = self.call("session.open", params)
         self.session_id = result["session"]
         return result
@@ -201,18 +187,6 @@ class Client:
         return self.call("trace.query", params or None)
 
     # -- streamed-trace persistence -----------------------------------------
-
-    def streamed_records(self) -> Tuple[List[Any], Any]:
-        """``(records, registry)`` decoded from every streamed segment."""
-        from repro.trace.schema import SchemaRegistry
-
-        registry = SchemaRegistry()
-        records: List[Any] = []
-        for segment in self.segments:
-            registry.ensure(segment.schema, segment.fields)
-            for index in range(segment.rows):
-                records.append(segment.record(index))
-        return records, registry
 
     def save_trace(self, path: str) -> int:
         """Write every streamed segment to ``path`` as a ``.ctb`` bundle.

@@ -31,6 +31,7 @@ from repro.server import protocol
 from repro.server.protocol import ServerError
 from repro.server.scheduler import JobScheduler
 from repro.server.session import Session, SessionQuota, Subscription
+from repro.trace.columnar import Segment
 
 
 @dataclass
@@ -55,10 +56,6 @@ class ServerConfig:
     max_buffer_elems: int = 1 << 20
     #: Retained trace records per session (older rows age out).
     max_trace_records: int = 1 << 20
-    #: Default streamed-segment split: at most N rows per streamed
-    #: segment (0 = one segment per schema per batch). Sessions may
-    #: override via the ``session.open`` ``trace_flush_rows`` param.
-    trace_flush_rows: int = 0
 
 
 class _Connection:
@@ -68,9 +65,6 @@ class _Connection:
         self.writer = writer
         self.lock = asyncio.Lock()
         self.session: Optional[Session] = None
-        #: Negotiated at ``session.open``: stream ``trace.segment``
-        #: payloads as raw binary frames instead of base64 JSON.
-        self.binary_segments = False
 
     async def send(self, data: bytes) -> None:
         async with self.lock:
@@ -234,15 +228,18 @@ class ReproServer:
 
     async def _send_segments(self, conn: _Connection, session: Session,
                              subscription: Subscription,
-                             segments: List[Any],
+                             segments: List[Segment],
                              replay: bool = False) -> None:
-        """Deliver one ``trace.segment`` batch in the negotiated encoding.
+        """Deliver the wanted ``segments`` as one ``trace.segment`` frame.
 
-        Base64-in-JSON by default; when the session negotiated
-        ``binary_segments`` the notification line is followed by the raw
-        column bytes of each segment (written atomically under the
-        connection lock, so no other message interleaves).
+        The frame (notification line plus raw column bytes) is written
+        atomically under the connection lock, so no other message
+        interleaves. Nothing is sent when no segment is wanted.
         """
+        segments = [segment for segment in segments
+                    if subscription.wants(segment.schema)]
+        if not segments:
+            return
         rows = sum(segment.rows for segment in segments)
         subscription.batches_sent += 1
         subscription.rows_sent += rows
@@ -254,38 +251,22 @@ class ReproServer:
         }
         if replay:
             params["replay"] = True
-        if conn.binary_segments:
-            payloads = [segment.payload_bytes() for segment in segments]
-            params["encoding"] = "binary"
-            params["segments"] = [
-                protocol.segment_header(segment, len(payload))
-                for segment, payload in zip(segments, payloads)]
-            await conn.send(protocol.encode_binary_notification(
-                "trace.segment", params, payloads))
-        else:
-            params["segments"] = [protocol.segment_to_wire(segment)
-                                  for segment in segments]
-            await conn.notify("trace.segment", params)
+        await conn.send(protocol.encode_segment_frame(params, segments))
 
-    async def _publish_records(self, conn: _Connection, session: Session,
-                               result: Dict[str, Any]) -> int:
-        """Retain a finished job's trace records and stream to subscribers.
+    async def _publish_segments(self, conn: _Connection, session: Session,
+                                result: Dict[str, Any]) -> int:
+        """Retain a finished job's trace segments and stream them out.
 
-        Pops the records off the result (the response carries counts,
-        not rows — subscribers stream them, ``trace.query`` filters
-        them). Returns the number of new records.
+        Pops the ``(header, payload)`` pairs off the result (the
+        response carries counts, not rows — subscribers stream them,
+        ``trace.query`` filters them). Returns the number of new rows.
         """
-        records = result.pop("trace_records", None)
-        schemas = result.pop("trace_schemas", ())
-        if not records:
-            return 0
-        added = session.add_records(schemas, records)
+        segments = [Segment.from_payload(header, payload) for header, payload
+                    in result.pop("trace_segments", ())]
+        rows = session.add_segments(segments)
         for subscription in list(session.subscriptions.values()):
-            segments = session.batch_segments(added, subscription)
-            if not segments:
-                continue
             await self._send_segments(conn, session, subscription, segments)
-        return len(added)
+        return rows
 
     def _kernel_payload(self, session: Session,
                         params: Dict[str, Any]) -> Dict[str, Any]:
@@ -294,14 +275,12 @@ class ReproServer:
             compiled = session.get_program(str(params["program"]))
             source = compiled["source"]
             defines = compiled["defines"]
-            frontend = compiled["frontend"]
         else:
             source = params.get("source")
             if not isinstance(source, str):
                 raise ServerError(protocol.E_BAD_REQUEST,
                                   "kernel.run needs 'program' or 'source'")
             defines = params.get("defines")
-            frontend = params.get("frontend", "codegen")
         kernel = params.get("kernel")
         if not isinstance(kernel, str):
             raise ServerError(protocol.E_BAD_REQUEST,
@@ -328,7 +307,6 @@ class ReproServer:
             "args": dict(params.get("args") or {}),
             "buffers": buffers,
             "defines": defines,
-            "frontend": frontend,
             "autorun_args": params.get("autorun_args"),
             "trace": bool(params.get("trace", False)),
         }
@@ -343,7 +321,7 @@ class ReproServer:
         writebacks = payload.pop("__writebacks", {})
         result = await self.scheduler.execute(session, "kernel", payload)
         session.stats.cycles_total += int(result.get("sim_now", 0))
-        streamed = await self._publish_records(conn, session, result)
+        streamed = await self._publish_segments(conn, session, result)
         result["trace"] = {"records": streamed}
         for kernel_buffer, session_buffer in writebacks.items():
             if kernel_buffer in result["buffers"] and not session.closed:
@@ -393,22 +371,14 @@ class ReproServer:
         requested = params.get("queue_limit")
         if requested is not None:
             queue_limit = max(1, min(int(requested), queue_limit))
-        trace_flush_rows = self.config.trace_flush_rows
-        requested_flush = params.get("trace_flush_rows")
-        if requested_flush is not None:
-            trace_flush_rows = max(0, int(requested_flush))
         quota = SessionQuota(
             queue_limit=queue_limit,
             max_buffer_elems=self.config.max_buffer_elems,
-            max_trace_records=self.config.max_trace_records,
-            trace_flush_rows=trace_flush_rows)
+            max_trace_records=self.config.max_trace_records)
         session = Session(session_id, quota=quota)
         self.sessions[session_id] = session
         self._session_conns[session_id] = conn
         conn.session = session
-        # Capability negotiation: a server without this code ignores the
-        # param and omits the ack, so such a client keeps reading base64.
-        conn.binary_segments = bool(params.get("binary_segments"))
         import repro
 
         return {
@@ -418,8 +388,6 @@ class ReproServer:
                 "mode": "inline" if self.pool is None else "pool",
                 "workers": 0 if self.pool is None else self.pool.workers,
                 "queue_limit": queue_limit,
-                "binary_segments": conn.binary_segments,
-                "trace_flush_rows": trace_flush_rows,
             },
         }
 
@@ -436,7 +404,6 @@ class ReproServer:
             raise ServerError(protocol.E_BAD_REQUEST,
                               "program.compile needs 'source' text")
         defines = params.get("defines")
-        frontend = params.get("frontend", "codegen")
         from repro.frontend.compiler import (compile_source,
                                              program_cache_info)
         from repro.frontend.lexer import FrontendError
@@ -445,7 +412,7 @@ class ReproServer:
         before = program_cache_info()
         try:
             compiled = compile_source(Fabric(), source, defines=defines,
-                                      frontend=frontend, start_autorun=False)
+                                      start_autorun=False)
         except FrontendError as exc:
             data: Dict[str, Any] = {}
             if getattr(exc, "line", None):
@@ -456,7 +423,6 @@ class ReproServer:
         session.programs[program_id] = {
             "source": source,
             "defines": dict(defines) if defines else None,
-            "frontend": frontend,
         }
         return {
             "program": program_id,
@@ -551,7 +517,7 @@ class ReproServer:
         }
         self.scheduler.admit(session)
         result = await self.scheduler.execute(session, "experiment", payload)
-        streamed = await self._publish_records(conn, session, result)
+        streamed = await self._publish_segments(conn, session, result)
         result["trace"] = {"records": streamed}
         return result
 
@@ -562,11 +528,9 @@ class ReproServer:
             subscription_id=session.next_id("sub"),
             schemas=set(schemas) if schemas else None)
         session.subscriptions[subscription.subscription_id] = subscription
-        if params.get("replay") and session.records:
-            segments = session.batch_segments(session.records, subscription)
-            if segments:
-                await self._send_segments(conn, session, subscription,
-                                          segments, replay=True)
+        if params.get("replay"):
+            await self._send_segments(conn, session, subscription,
+                                      session.segments, replay=True)
         return {"subscription": subscription.subscription_id}
 
     async def _m_trace_unsubscribe(self, conn, params):
@@ -583,9 +547,10 @@ class ReproServer:
     async def _m_trace_query(self, conn, params):
         session = self._require_session(conn)
         from repro.errors import ReproError
+        from repro.trace.columnar import ColumnarStore, merge_segments
         from repro.trace.query import TraceQuery
 
-        store = session.make_store()
+        store = ColumnarStore(merge_segments(session.segments))
         try:
             query = TraceQuery(store)
             if params.get("schema"):

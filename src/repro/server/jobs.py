@@ -7,7 +7,7 @@ thread executor (``--workers 0``), in a warm
 :class:`~repro.sweep.runner.WorkerPool` process, or directly in a test.
 That single codepath is the server's determinism contract: a kernel run
 through the daemon is byte-identical (buffers, ``sim.now``,
-engine/LSU/memory stats, trace records) to the same run in-process.
+engine/LSU/memory stats, trace segments) to the same run in-process.
 
 Failures a *user* can cause (compile diagnostics, bad launch args,
 simulated deadlocks) are returned as structured ``{"error": ...}`` dicts
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
 from repro.server import protocol
@@ -42,13 +42,6 @@ def _frontend_error_payload(exc) -> Dict[str, Any]:
         data["line"] = line
         data["column"] = column
     return _structured_error(protocol.E_COMPILE, str(exc), data)
-
-
-def _hub_schemas(hub) -> Tuple[Tuple[str, Tuple[str, ...], str], ...]:
-    """Layouts of every schema the hub actually saw (sweep-runner idiom)."""
-    return tuple((schema.name, schema.fields, schema.doc)
-                 for schema in (hub.registry.get(name)
-                                for name in sorted(hub.counts)))
 
 
 def _json_tag(tag: Any) -> Any:
@@ -93,7 +86,6 @@ def execute_kernel_job(source: str, kernel: str,
                        args: Optional[Dict[str, Any]] = None,
                        buffers: Optional[Dict[str, Dict[str, Any]]] = None,
                        defines: Optional[Dict[str, int]] = None,
-                       frontend: str = "codegen",
                        autorun_args: Optional[Dict[str, Dict[str, Any]]] = None,
                        trace: bool = False,
                        max_cycles: int = 10_000_000) -> Dict[str, Any]:
@@ -102,22 +94,22 @@ def execute_kernel_job(source: str, kernel: str,
     ``buffers`` maps global-buffer names to ``{"size": N}`` with an
     optional ``"fill": [ints]``; every buffer's final contents come back
     in the result. With ``trace=True`` the fabric publishes into a fresh
-    hub and the result carries the records + schema layouts (the caller
-    streams/stores them). Compilation hits the process-wide program
-    cache, so a warm worker skips the frontend entirely.
+    capture-only hub and the result carries its sealed segments as
+    ``trace_segments`` (the caller streams/stores them). Compilation
+    hits the process-wide program cache, so a warm worker skips the
+    frontend entirely.
     """
     from repro.frontend.compiler import compile_source
     from repro.frontend.lexer import FrontendError
     from repro.pipeline.fabric import Fabric
 
-    hub = None
+    hub = collector = None
     if trace:
-        from repro.trace.hub import TraceHub
-        hub = TraceHub()
+        from repro.trace.columnar import SegmentCollector
+        hub, collector = SegmentCollector.capture()
     fabric = Fabric(keep_lsu_samples=True, trace=hub)
     try:
         program = compile_source(fabric, source, defines=defines,
-                                 frontend=frontend,
                                  autorun_args=autorun_args)
     except FrontendError as exc:
         return _frontend_error_payload(exc)
@@ -171,8 +163,8 @@ def execute_kernel_job(source: str, kernel: str,
     finally:
         fabric.stop_autorun()
     if hub is not None:
-        result["trace_records"] = list(hub.records)
-        result["trace_schemas"] = _hub_schemas(hub)
+        hub.close()
+        result["trace_segments"] = collector.segments
     return result
 
 
@@ -187,10 +179,10 @@ def execute_experiment_job(name: str,
     """
     from repro.experiments import registry
 
-    hub = None
+    hub = collector = None
     if trace and name in registry.TRACEABLE:
-        from repro.trace.hub import TraceHub
-        hub = TraceHub()
+        from repro.trace.columnar import SegmentCollector
+        hub, collector = SegmentCollector.capture()
     try:
         rendered = registry.run_experiment(name, hub=hub,
                                            **dict(params or {}))
@@ -206,8 +198,8 @@ def execute_experiment_job(name: str,
     result: Dict[str, Any] = {"experiment": name, "rendered": rendered,
                               "traceable": name in registry.TRACEABLE}
     if hub is not None:
-        result["trace_records"] = list(hub.records)
-        result["trace_schemas"] = _hub_schemas(hub)
+        hub.close()
+        result["trace_segments"] = collector.segments
     return result
 
 

@@ -14,20 +14,17 @@ terminated). Three shapes exist:
   (``trace.segment``) and asynchronous job completion
   (``kernel.complete``).
 
-Binary ``.ctb`` segment payloads travel base64-encoded inside
-notifications by default. A client that passes ``binary_segments: true``
-to ``session.open`` (acked in the response's ``server`` block) instead
-receives **binary frames**: the ``trace.segment`` notification line is
-followed immediately by the raw column bytes of each listed segment,
-concatenated in order. The notification marks itself with
-``"encoding": "binary"`` and each segment header carries a ``"length"``
-byte count, so the frame is self-describing; servers predating the
-capability simply ignore the flag and keep sending base64.
+Every ``trace.segment`` notification is a **binary frame**: the
+notification line lists one header per segment —
+:meth:`Segment.header() <repro.trace.columnar.Segment.header>` plus the
+payload's byte ``length`` — and the raw column bytes of each listed
+segment follow the line immediately, concatenated in order. The frame
+is self-describing; :meth:`Segment.from_payload
+<repro.trace.columnar.Segment.from_payload>` rebuilds each segment.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -130,85 +127,31 @@ def parse_address(address: str) -> Tuple[str, Any]:
                           f"port {port!r} is not an integer") from None
 
 
-# -- trace record / segment wire forms ---------------------------------------
+# -- trace segment frames ----------------------------------------------------
 
-def records_to_wire(records) -> List[List[Any]]:
-    """Serialize trace records as compact JSON arrays."""
-    return [[r.schema, r.ts, r.kernel, r.cu, r.site, list(r.values)]
-            for r in records]
+def encode_segment_frame(params: Dict[str, Any], segments) -> bytes:
+    """One ``trace.segment`` frame: notification line + raw payloads.
 
-
-def records_from_wire(rows: List[List[Any]]):
-    """Rebuild :class:`~repro.trace.schema.TraceRecord` objects."""
-    from repro.trace.schema import TraceRecord
-
-    return [TraceRecord(schema=row[0], ts=row[1], kernel=row[2], cu=row[3],
-                        site=row[4], values=tuple(row[5])) for row in rows]
-
-
-def schemas_to_wire(schemas) -> List[List[Any]]:
-    """Serialize ``(name, fields, doc)`` schema layouts."""
-    return [[name, list(fields), doc] for name, fields, doc in schemas]
+    ``params`` gains one header per segment,
+    ``dict(segment.header(), length=n)``, and the ``n`` column bytes of
+    each segment follow the line in listing order. The caller must write
+    the returned bytes atomically with respect to other messages on the
+    connection.
+    """
+    payloads = [segment.payload_bytes() for segment in segments]
+    headers = [dict(segment.header(), length=len(payload))
+               for segment, payload in zip(segments, payloads)]
+    return (encode_notification("trace.segment",
+                                dict(params, segments=headers))
+            + b"".join(payloads))
 
 
-def schemas_from_wire(rows: List[List[Any]]) -> List[Tuple[str, tuple, str]]:
-    """Rebuild schema layout triples from their wire form."""
-    return [(row[0], tuple(row[1]), row[2]) for row in rows]
+def read_segment_frame(params: Dict[str, Any], read) -> List[Any]:
+    """The segments of one frame whose notification line gave ``params``.
 
-
-def segment_to_wire(segment) -> Dict[str, Any]:
-    """Serialize one columnar segment (payload bytes base64-encoded)."""
-    return {
-        "schema": segment.schema,
-        "fields": list(segment.fields),
-        "rows": segment.rows,
-        "strings": list(segment.strings),
-        "data": base64.b64encode(segment.payload_bytes()).decode("ascii"),
-    }
-
-
-def segment_from_wire(wire: Dict[str, Any]):
-    """Rebuild a :class:`~repro.trace.columnar.Segment` from its wire form."""
+    ``read(n)`` must return the next ``n`` payload bytes of the stream.
+    """
     from repro.trace.columnar import Segment
 
-    return Segment.from_payload(
-        {"schema": wire["schema"], "fields": wire["fields"],
-         "rows": wire["rows"], "strings": wire["strings"]},
-        base64.b64decode(wire["data"]))
-
-
-def segment_header(segment, length: int) -> Dict[str, Any]:
-    """Binary-frame header for one segment whose raw payload follows.
-
-    Same keys as :func:`segment_to_wire` with the base64 ``data``
-    replaced by the payload's byte ``length`` — the receiver reads that
-    many raw bytes off the stream after the notification line.
-    """
-    return {
-        "schema": segment.schema,
-        "fields": list(segment.fields),
-        "rows": segment.rows,
-        "strings": list(segment.strings),
-        "length": int(length),
-    }
-
-
-def segment_from_header(header: Dict[str, Any], data):
-    """Rebuild a segment from a binary-frame header + its raw bytes."""
-    from repro.trace.columnar import Segment
-
-    return Segment.from_payload(
-        {"schema": header["schema"], "fields": header["fields"],
-         "rows": header["rows"], "strings": header["strings"]}, data)
-
-
-def encode_binary_notification(method: str, params: Dict[str, Any],
-                               payloads: List[bytes]) -> bytes:
-    """One binary frame: notification line + concatenated raw payloads.
-
-    ``params`` must already carry ``"encoding": "binary"`` and segment
-    headers (see :func:`segment_header`) whose ``length`` fields sum to
-    the payload bytes that follow. The caller must write the returned
-    bytes atomically with respect to other messages on the connection.
-    """
-    return encode_notification(method, params) + b"".join(payloads)
+    return [Segment.from_payload(header, read(int(header["length"])))
+            for header in params.get("segments", ())]

@@ -7,8 +7,8 @@ the cf4ocl-style *context* of this runtime. Each session owns
   program images live in the process-wide cache, shared across sessions),
 * **named buffers** (host-visible int arrays that persist across runs and
   can seed/collect kernel launches), bounded by an element quota,
-* a **private trace hub** accumulating every record its jobs produced,
-  with subscriptions that stream new records out as ``.ctb`` segments,
+* the **sealed trace segments** its jobs produced, with subscriptions
+  that stream each job's segments out as they arrive,
 * job bookkeeping (queue depth for backpressure, completed counters,
   total simulated cycles).
 
@@ -19,12 +19,13 @@ cache — which is the point of the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.server import protocol
 from repro.server.protocol import ServerError
-from repro.trace.schema import SchemaRegistry, TraceRecord
+from repro.trace.columnar import Segment
+from repro.trace.schema import TraceSchema
 
 
 @dataclass
@@ -36,14 +37,9 @@ class SessionQuota:
     queue_limit: int = 8
     #: Total elements across all named session buffers.
     max_buffer_elems: int = 1 << 20
-    #: Retained trace records; older records are dropped (and counted)
-    #: once exceeded — subscribers already received them.
+    #: Retained trace rows; older rows are dropped (and counted) once
+    #: exceeded — subscribers already received them.
     max_trace_records: int = 1 << 20
-    #: Streamed-segment granularity: split each subscriber batch into
-    #: segments of at most this many rows (0, the default, keeps one
-    #: segment per schema per batch — matching a local
-    #: ``ColumnarSink`` flush at hub close).
-    trace_flush_rows: int = 0
 
 
 @dataclass
@@ -83,9 +79,8 @@ class Session:
         self.programs: Dict[str, Dict[str, Any]] = {}
         #: named session buffers (plain int lists; fabric-independent).
         self.buffers: Dict[str, List[int]] = {}
-        #: accumulated trace records across this session's jobs.
-        self.records: List[TraceRecord] = []
-        self.registry = SchemaRegistry()
+        #: retained trace segments across this session's jobs, oldest first.
+        self.segments: List[Segment] = []
         self.subscriptions: Dict[str, Subscription] = {}
         #: async job results by job id (kernel.enqueue / job.wait).
         self.job_results: Dict[str, Dict[str, Any]] = {}
@@ -153,61 +148,33 @@ class Session:
                 f"session has no program {program_id!r}; known: "
                 f"{sorted(self.programs)}") from None
 
-    # -- trace accumulation -------------------------------------------------
+    # -- trace retention ---------------------------------------------------
 
-    def add_records(self, schemas, records) -> List[TraceRecord]:
-        """Register schema layouts, retain the records, return them.
+    def add_segments(self, segments: List[Segment]) -> int:
+        """Retain one job's sealed segments; returns the rows they hold.
 
-        Retention is bounded by the quota: the *oldest* records are
-        dropped (subscribers streamed them already; only ``trace.query``
-        over ancient history is affected) and the drop count surfaces in
+        Retention is bounded by the quota: the *oldest* rows are dropped
+        (whole segments first, then the head of the oldest survivor —
+        subscribers streamed them already; only ``trace.query`` over
+        ancient history is affected) and the drop count surfaces in
         ``server.stats``.
         """
-        for name, fields, doc in schemas:
-            self.registry.ensure(name, tuple(fields), doc=doc)
-        self.records.extend(records)
-        self.stats.trace_rows += len(records)
-        overflow = len(self.records) - self.quota.max_trace_records
+        rows = sum(segment.rows for segment in segments)
+        self.segments.extend(segments)
+        self.stats.trace_rows += rows
+        overflow = (sum(segment.rows for segment in self.segments)
+                    - self.quota.max_trace_records)
         if overflow > 0:
-            del self.records[:overflow]
             self.stats.trace_rows_dropped += overflow
-        return list(records)
-
-    def make_store(self):
-        """Seal the accumulated records into an in-memory columnar store."""
-        from repro.trace.columnar import ColumnarStore
-
-        return ColumnarStore.from_records(self.records, self.registry)
-
-    def batch_segments(self, records,
-                       subscription: Subscription) -> List[Any]:
-        """Seal one job's records into segments for one subscriber.
-
-        Grouping matches :meth:`ColumnarStore.append_records` (schema
-        first-appearance order), so a client that stitches batches back
-        together reproduces exactly what a local ``ColumnarSink`` flush
-        per run would have written. A non-zero ``quota.trace_flush_rows``
-        additionally splits each group into segments of at most that
-        many rows (clients merge them back with
-        :func:`repro.trace.columnar.merge_segments`).
-        """
-        from repro.trace.columnar import Segment
-
-        grouped: Dict[str, List[TraceRecord]] = {}
-        for record in records:
-            if subscription.wants(record.schema):
-                grouped.setdefault(record.schema, []).append(record)
-        limit = self.quota.trace_flush_rows
-        segments: List[Any] = []
-        for name, group in grouped.items():
-            schema = self.registry.get(name)
-            if limit and len(group) > limit:
-                segments.extend(
-                    Segment.from_records(schema, group[start:start + limit])
-                    for start in range(0, len(group), limit))
-            else:
-                segments.append(Segment.from_records(schema, group))
-        return segments
+            while self.segments and self.segments[0].rows <= overflow:
+                overflow -= self.segments.pop(0).rows
+            if overflow:
+                oldest = self.segments[0]
+                self.segments[0] = Segment.from_records(
+                    TraceSchema(oldest.schema, oldest.fields),
+                    [oldest.record(index)
+                     for index in range(overflow, oldest.rows)])
+        return rows
 
     # -- summary -----------------------------------------------------------
 

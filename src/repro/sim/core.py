@@ -570,9 +570,6 @@ class Simulator:
                 next_time = int(next_time)
             self._now = next_time
 
-    def _has_events(self) -> bool:
-        return bool(self._wheel_count or self._far)
-
     def step(self) -> None:
         """Process exactly one event."""
         event = self._pop_next()

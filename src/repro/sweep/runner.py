@@ -72,34 +72,6 @@ def default_chunk_size(points: int, workers: int) -> int:
 
 # -- worker-side execution ---------------------------------------------------
 
-class _SegmentCollector:
-    """Batch-aware capture sink: keeps sealed segments as wire pairs.
-
-    Each ``on_batch`` stores ``(header, payload_bytes)`` — exactly what
-    crosses the worker→parent pickle boundary, so a point's trace rows
-    are encoded once, in the worker, and never materialized as record
-    objects anywhere. Duck-typed (not a TraceSink subclass) so the
-    runner module imports nothing from the trace package at load time.
-    """
-
-    accepts_batches = True
-
-    def __init__(self) -> None:
-        self.segments: List[Tuple[Dict[str, Any], bytes]] = []
-
-    def on_record(self, schema, record) -> None:  # pragma: no cover
-        raise AssertionError("batch hub never delivers records here")
-
-    def on_batch(self, schema, segment) -> None:
-        self.segments.append((segment.header(), segment.payload_bytes()))
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
 def _execute_point(point: SweepPoint,
                    trace_kwarg: Optional[str]) -> PointResult:
     """Run one point in the current process, capturing failure/telemetry.
@@ -108,38 +80,25 @@ def _execute_point(point: SweepPoint,
     which is what keeps the two modes' results structurally identical.
     """
     start = time.perf_counter()
-    segments: List[Tuple[Dict[str, Any], bytes]] = []
-    schemas: Tuple[Tuple[str, Tuple[str, ...], str], ...] = ()
+    collector = None
     try:
         func = resolve_callable(point.func)
         kwargs = dict(point.kwargs)
         hub = None
         if trace_kwarg is not None:
-            from repro.trace.hub import TraceHub
+            from repro.trace.columnar import SegmentCollector
             # Capture-only hub: rows stream straight into column
-            # builders and come back as encoded segment bytes — no
-            # TraceRecord objects, no pickled record lists.
-            hub = TraceHub(keep_records=False)
-            collector = _SegmentCollector()
-            hub.attach(collector)
+            # builders and come back as encoded segment bytes.
+            hub, collector = SegmentCollector.capture()
             kwargs[trace_kwarg] = hub
         value = func(**kwargs)
         if hub is not None:
             hub.close()
-            segments = collector.segments
-            # Ship the layouts of every schema the point actually used, so
-            # the parent can decode dynamic (e.g. per-ibuffer) records it
-            # has never seen registered. _execute_chunk dedupes these
-            # across the points of one worker chunk.
-            schemas = tuple(
-                (schema.name, schema.fields, schema.doc)
-                for schema in (hub.registry.get(name)
-                               for name in sorted(hub.counts)))
         return PointResult(
             key=point.key, label=point.describe(), status="ok", value=value,
             attempts=1, duration_s=time.perf_counter() - start,
-            worker=os.getpid(), trace_segments=segments,
-            trace_schemas=schemas)
+            worker=os.getpid(),
+            trace_segments=collector.segments if collector else [])
     except BaseException as exc:  # noqa: BLE001 - a point must never sink the sweep
         return PointResult(
             key=point.key, label=point.describe(), status="failed",
@@ -150,25 +109,8 @@ def _execute_point(point: SweepPoint,
 
 def _execute_chunk(points: Sequence[SweepPoint],
                    trace_kwarg: Optional[str]) -> List[PointResult]:
-    """Worker entry point: run a chunk of points back to back.
-
-    Schema layouts are deduplicated across the chunk: a dynamic schema
-    (e.g. a per-ibuffer layout) used by every point is shipped back to
-    the parent once, with the first result that used it, not once per
-    point. The parent unions schemas across all results, so dropping
-    repeats never loses a layout.
-    """
-    results: List[PointResult] = []
-    shipped: set = set()
-    for point in points:
-        result = _execute_point(point, trace_kwarg)
-        if result.trace_schemas:
-            fresh = tuple(schema for schema in result.trace_schemas
-                          if schema not in shipped)
-            shipped.update(fresh)
-            result.trace_schemas = fresh
-        results.append(result)
-    return results
+    """Worker entry point: run a chunk of points back to back."""
+    return [_execute_point(point, trace_kwarg) for point in points]
 
 
 def _worker_ping() -> int:
@@ -398,23 +340,12 @@ def _merge_traces(outcome: SweepOutcome, trace_path: str) -> None:
 
     Worker-shipped ``(header, payload)`` pairs are wrapped as lazy
     segments and appended wholesale — the column bytes encoded in the
-    worker are written to disk verbatim. Results carrying legacy
-    ``trace_records`` lists (older pickles, hand-built results) are
-    encoded here instead.
+    worker are written to disk verbatim.
     """
     from repro.trace.columnar import ColumnarStore, Segment
-    from repro.trace.schema import SchemaRegistry
 
-    registry = SchemaRegistry()
-    for result in outcome.results:
-        for name, fields, doc in result.trace_schemas:
-            registry.ensure(name, fields, doc=doc)
-    segments: List[Any] = []
-    for result in outcome.results:
-        for header, payload in result.trace_segments:
-            segments.append(Segment.from_payload(header, payload))
-        if result.trace_records:
-            segments.extend(ColumnarStore.from_records(
-                result.trace_records, registry).segments)
+    segments = [Segment.from_payload(header, payload)
+                for result in outcome.results
+                for header, payload in result.trace_segments]
     if segments:
         ColumnarStore.append_segments(trace_path, segments)

@@ -47,17 +47,9 @@ class Design:
         self.channels: List[ChannelSpec] = list(channels or [])
         self.shell = shell or DEFAULT_SHELL
 
-    def add_kernel(self, kernel: Kernel) -> "Design":
-        self.kernels.append(kernel)
-        return self
-
     def add_channel(self, spec: ChannelSpec) -> "Design":
         self.channels.append(spec)
         return self
-
-    def add_channels(self, depth: int, width_bits: int = 32, count: int = 1) -> "Design":
-        return self.add_channel(ChannelSpec(depth=depth, width_bits=width_bits,
-                                            count=count))
 
     @property
     def instrumented(self) -> bool:

@@ -30,13 +30,6 @@ class SynthesisReport:
     fmax_mhz: float
     retimed: bool
 
-    @property
-    def logic_utilization(self) -> float:
-        """Fraction of device ALMs used (what vendor reports headline)."""
-        return self._util_alms
-
-    _util_alms: float = 0.0
-
     def utilization_of(self, device: DeviceModel) -> Dict[str, float]:
         """Utilization fractions against a device's capacity."""
         return {
@@ -118,7 +111,7 @@ def synthesize(design: Design, device: Optional[DeviceModel] = None,
     total = total + shell_vec
 
     fmax = timing.design_fmax_mhz(design, total)
-    report = SynthesisReport(
+    return SynthesisReport(
         design_name=design.name,
         device_name=device.name,
         per_kernel=per_kernel,
@@ -128,8 +121,6 @@ def synthesize(design: Design, device: Optional[DeviceModel] = None,
         fmax_mhz=fmax,
         retimed=retimed,
     )
-    report._util_alms = total.alms / device.alms
-    return report
 
 
 def compare_reports(reports: Dict[str, SynthesisReport],

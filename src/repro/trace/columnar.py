@@ -43,7 +43,7 @@ from operator import le
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import TraceStoreError
-from repro.trace.hub import TraceSink
+from repro.trace.hub import TraceHub, TraceSink
 from repro.trace.schema import (
     STANDARD_COLUMNS,
     SchemaRegistry,
@@ -747,3 +747,29 @@ class ColumnarSink(TraceSink):
     def close(self) -> None:
         """Flush any buffered data (called by ``TraceHub.close``)."""
         self.flush()
+
+
+class SegmentCollector(TraceSink):
+    """Hub sink that keeps each sealed batch as a ``(header, payload)`` pair.
+
+    The pair is the one form trace rows take across process and socket
+    boundaries: sweep workers and server jobs return these pairs, and
+    :meth:`Segment.from_payload` rebuilds each segment around its bytes.
+    Rows are encoded once, in the producing process, and never become
+    record objects (attach it to a ``TraceHub(keep_records=False)``).
+    """
+
+    accepts_batches = True
+
+    def __init__(self) -> None:
+        self.segments: List[Tuple[Dict[str, object], bytes]] = []
+
+    @classmethod
+    def capture(cls) -> Tuple[TraceHub, "SegmentCollector"]:
+        """A fresh capture-only ``TraceHub`` and the collector on it."""
+        hub = TraceHub(keep_records=False)
+        return hub, hub.attach(cls())
+
+    def on_batch(self, schema: TraceSchema, segment: Segment) -> None:
+        """Keep the sealed batch as its header plus raw column bytes."""
+        self.segments.append((segment.header(), segment.payload_bytes()))

@@ -27,7 +27,7 @@ class TestExtremeMemoryConfigs:
                            row_miss_cycles=0, bank_busy_cycles=0,
                            posted_write_latency=0),
         GlobalMemoryConfig(pipe_latency=500, row_miss_cycles=200),
-        GlobalMemoryConfig(banks=1, max_outstanding=1),
+        GlobalMemoryConfig(banks=1),
         GlobalMemoryConfig(banks=64, row_bytes=64),
     ])
     def test_vecadd_correct_under_any_timing(self, config):

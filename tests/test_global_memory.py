@@ -25,10 +25,6 @@ class TestConfigValidation:
         with pytest.raises(AddressError):
             GlobalMemoryConfig(pipe_latency=-1)
 
-    def test_zero_outstanding_rejected(self):
-        with pytest.raises(AddressError):
-            GlobalMemoryConfig(max_outstanding=0)
-
 
 class TestLoadTiming:
     def test_first_load_costs_pipe_plus_row_miss(self, sim):

@@ -6,7 +6,7 @@ flushes — a ``TraceHub(ingest="batch")`` must produce a byte-identical
 ``.ctb`` bundle, identical ``hub.counts``/``hub.records``, and identical
 :class:`TraceQuery` rows to the retained ``ingest="reference"`` oracle.
 The binary segment frames used by the server IPC must carry exactly the
-bytes the base64 wire form does. The acceptance floor (>= 5x ingest
+locally sealed column bytes. The acceptance floor (>= 5x ingest
 throughput) is gated at the end.
 
 Example budget: ``TRACE_INGEST_EXAMPLES`` (default 60); CI runs a
@@ -15,6 +15,7 @@ deep sweep at 300.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -189,7 +190,7 @@ class TestBinaryFrameEncoding:
                               _INT64, _INT64),
                     max_size=20))
     @settings(max_examples=max(4, 2 * MAX_EXAMPLES // 3), deadline=None)
-    def test_binary_and_base64_wire_forms_carry_identical_bytes(self, rows):
+    def test_binary_frame_carries_local_bytes(self, rows):
         registry = SchemaRegistry(builtins=False)
         schema = registry.ensure("prop.wire", ("alpha", "beta"))
         records = [TraceRecord("prop.wire", ts=ts, kernel=kernel, cu=cu,
@@ -198,18 +199,17 @@ class TestBinaryFrameEncoding:
         segment = Segment.from_records(schema, records)
         payload = segment.payload_bytes()
 
-        header = protocol.segment_header(segment, len(payload))
-        json.loads(json.dumps(header))           # stays a pure JSON header
-        assert header["length"] == len(payload)
-        from_binary = protocol.segment_from_header(header, payload)
-        from_base64 = protocol.segment_from_wire(
-            protocol.segment_to_wire(segment))
+        frame = protocol.encode_segment_frame({}, [segment])
+        line, _, raw = frame.partition(b"\n")
+        params = json.loads(line)["params"]      # a pure JSON header line
+        assert raw == payload
+        assert params["segments"] == [
+            dict(segment.header(), length=len(payload))]
+        stream = io.BytesIO(raw)
+        from_frame, = protocol.read_segment_frame(params, stream.read)
 
-        assert from_binary.payload_bytes() == payload
-        assert from_base64.payload_bytes() == payload
-        assert [from_binary.record(i) for i in range(from_binary.rows)] == \
-            records
-        assert [from_base64.record(i) for i in range(from_base64.rows)] == \
+        assert from_frame.payload_bytes() == payload
+        assert [from_frame.record(i) for i in range(from_frame.rows)] == \
             records
 
 

@@ -93,7 +93,15 @@ class TestProtocol:
                                site=f"s{i}", values=(i, i * 10))
                    for i in range(5)]
         segment = Segment.from_records(schema, records)
-        rebuilt = protocol.segment_from_wire(protocol.segment_to_wire(segment))
+        frame = protocol.encode_segment_frame({"batch": 1}, [segment])
+        line, _, payload = frame.partition(b"\n")
+        message = protocol.decode_line(line)
+        assert message["method"] == "trace.segment"
+        assert message["params"]["segments"] == [
+            dict(segment.header(), length=len(payload))]
+        stream = io.BytesIO(payload)
+        rebuilt, = protocol.read_segment_frame(message["params"], stream.read)
+        assert stream.read() == b""
         assert rebuilt.payload_bytes() == segment.payload_bytes()
         assert [rebuilt.record(i) for i in range(5)] == records
 
@@ -118,14 +126,16 @@ class TestSession:
             session.get_program("p9")
 
     def test_trace_retention_drops_oldest(self):
-        from repro.trace.schema import TraceRecord
+        from repro.trace.columnar import Segment
+        from repro.trace.schema import TraceRecord, TraceSchema
 
         session = Session("s1", SessionQuota(max_trace_records=4))
-        schemas = (("t.r", ("v",), ""),)
         records = [TraceRecord(schema="t.r", ts=i, kernel="k", cu=0,
                                site="s", values=(i,)) for i in range(6)]
-        session.add_records(schemas, records)
-        assert [r.ts for r in session.records] == [2, 3, 4, 5]
+        segment = Segment.from_records(TraceSchema("t.r", ("v",)), records)
+        assert session.add_segments([segment]) == 6
+        assert [segment.record(i).ts for segment in session.segments
+                for i in range(segment.rows)] == [2, 3, 4, 5]
         assert session.stats.trace_rows == 6
         assert session.stats.trace_rows_dropped == 2
 
@@ -511,71 +521,97 @@ class TestWorkerPoolMode:
                 buffers={"data": {"size": 8,
                                   "fill": [1, 2, 3, 4, 5, 6, 7, 8]}},
                 trace=True)
-            records = local.pop("trace_records")
-            schemas = local.pop("trace_schemas")
-            local["trace"] = {"records": len(records)}
+            from repro.trace.columnar import ColumnarStore, Segment
+
+            segments = [Segment.from_payload(header, payload)
+                        for header, payload in local.pop("trace_segments")]
+            local["trace"] = {"records": sum(s.rows for s in segments)}
             assert remote == local
 
-            from repro.trace.columnar import ColumnarStore
-            from repro.trace.schema import SchemaRegistry
-
-            registry = SchemaRegistry()
-            for name, fields, doc in schemas:
-                registry.ensure(name, tuple(fields), doc=doc)
             local_path = tmp_path / "inline.ctb"
-            ColumnarStore.from_records(records, registry).save(
-                str(local_path))
+            ColumnarStore(segments).save(str(local_path))
             assert pool_path.read_bytes() == local_path.read_bytes()
         finally:
             handle.stop()
 
 
-class TestBinarySegmentStreaming:
-    def _run_traced(self, client):
-        client.subscribe()
-        client.run_experiment("fig2", params={"n": 4, "num": 6}, trace=True)
+def _fig2_rows(params, schema):
+    """Rows of one schema from an in-process traced fig2 job."""
+    from repro.trace.columnar import Segment
 
-    def test_negotiation_acked_and_default_on(self, server):
+    result = execute_experiment_job("fig2", params=params, trace=True)
+    segments = [Segment.from_payload(header, payload)
+                for header, payload in result["trace_segments"]]
+    return [segment.row(index) for segment in segments
+            if segment.schema == schema for index in range(segment.rows)]
+
+
+class TestSegmentStreaming:
+    SMALL = {"n": 4, "num": 6}      # 48 order.record + 2 run.span rows
+    LARGE = {"n": 5, "num": 7}      # 70 order.record + 2 run.span rows
+
+    def _run_both(self, client):
+        for params in (self.SMALL, self.LARGE):
+            client.run_experiment("fig2", params=params, trace=True)
+
+    def test_replay_saves_same_bundle_as_live(self, server, tmp_path):
+        with Client(server.address) as live:
+            live.open_session()
+            live.subscribe()
+            self._run_both(live)
+            live_path = tmp_path / "live.ctb"
+            live_rows = live.save_trace(str(live_path))
+        with Client(server.address) as late:
+            late.open_session()
+            self._run_both(late)
+            assert late.segments == []
+            late.subscribe(replay=True)
+            assert [batch["replay"] for batch in late.segment_batches] == \
+                [True]
+            replay_path = tmp_path / "replay.ctb"
+            assert late.save_trace(str(replay_path)) == live_rows == 122
+        assert replay_path.read_bytes() == live_path.read_bytes()
+
+    def test_multi_job_stream_matches_one_local_hub(self, server, tmp_path):
+        from repro.experiments import registry
+        from repro.trace.columnar import ColumnarSink
+        from repro.trace.hub import TraceHub
+
+        jobs = (("fig2", self.LARGE), ("sec51", {}), ("sec52", {}))
         with Client(server.address) as c:
-            ack = c.open_session()
-            assert ack["server"]["binary_segments"] is True
-            assert ack["server"]["trace_flush_rows"] == 0
-        with Client(server.address) as c:
-            ack = c.open_session(binary_segments=False)
-            assert ack["server"]["binary_segments"] is False
+            # Unknown session.open params are ignored, not refused.
+            c.open_session(binary_segments=False, trace_flush_rows=2)
+            c.subscribe()
+            for name, params in jobs:
+                c.run_experiment(name, params=params, trace=True)
+            assert len(c.segments) == 8
+            streamed = tmp_path / "streamed.ctb"
+            rows = c.save_trace(str(streamed))
+        local = tmp_path / "local.ctb"
+        hub = TraceHub(keep_records=False)
+        sink = hub.attach(ColumnarSink(str(local), hub.registry))
+        for name, params in jobs:
+            registry.run_experiment(name, hub=hub, **params)
+        hub.close()
+        assert rows == sink.rows_written > 0
+        assert streamed.read_bytes() == local.read_bytes()
 
-    def test_binary_and_base64_streams_byte_identical(self, server,
-                                                      tmp_path):
-        bundles = {}
-        rows = {}
-        for label, flag in (("binary", True), ("base64", False)):
-            with Client(server.address) as c:
-                c.open_session(binary_segments=flag)
-                self._run_traced(c)
-                assert c.segments
-                path = tmp_path / f"{label}.ctb"
-                rows[label] = c.save_trace(str(path))
-                bundles[label] = path.read_bytes()
-        assert rows["binary"] == rows["base64"] > 0
-        assert bundles["binary"] == bundles["base64"]
-
-    def test_trace_flush_rows_splits_streamed_segments(self, server,
-                                                       tmp_path):
-        with Client(server.address) as whole:
-            whole.open_session()
-            self._run_traced(whole)
-            whole_path = tmp_path / "whole.ctb"
-            whole_rows = whole.save_trace(str(whole_path))
-            whole_count = len(whole.segments)
-        with Client(server.address) as split:
-            ack = split.open_session(trace_flush_rows=2)
-            assert ack["server"]["trace_flush_rows"] == 2
-            self._run_traced(split)
-            assert all(s.rows <= 2 for s in split.segments)
-            assert len(split.segments) > whole_count
-            split_path = tmp_path / "split.ctb"
-            split_rows = split.save_trace(str(split_path))
-        # merge_segments stitches the fine-grained stream back into the
-        # exact bundle an unsplit session (or a local capture) produces.
-        assert split_rows == whole_rows
-        assert split_path.read_bytes() == whole_path.read_bytes()
+    def test_retention_trim_cuts_inside_older_segment(self):
+        # 50 + 72 rows retained under a 94-row quota: the oldest 28 rows
+        # all come from the first job's 48-row order.record segment.
+        handle = start_server_thread(
+            ServerConfig(workers=0, max_trace_records=94))
+        try:
+            with Client(handle.address) as c:
+                session = c.open_session()["session"]
+                self._run_both(c)
+                stats = c.stats()["per_session"][session]
+                assert stats["trace_rows"] == 122
+                assert stats["trace_rows_dropped"] == 28
+                for schema, dropped in (("order.record", 28),
+                                        ("run.span", 0)):
+                    expected = (_fig2_rows(self.SMALL, schema)[dropped:]
+                                + _fig2_rows(self.LARGE, schema))
+                    assert c.query(schema=schema)["rows"] == expected
+        finally:
+            handle.stop()

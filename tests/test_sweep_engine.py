@@ -195,7 +195,6 @@ class TestTraceMerging:
         assert [sum(header["rows"] for header, _ in result.trace_segments)
                 for result in outcome.results] == [3, 1, 2]
         # Rows travel as encoded segment bytes, never pickled records.
-        assert all(result.trace_records == [] for result in outcome.results)
         for result in outcome.results:
             for header, payload in result.trace_segments:
                 assert isinstance(payload, bytes)
@@ -228,8 +227,8 @@ class TestTraceMerging:
         assert store.records()[0].values == (7, 9)
 
     def test_dynamic_schemas_deduped_per_chunk(self, tmp_path):
-        # Five points all emit the same dynamic schema; a chunk ships its
-        # layout once (with the first result), not once per point.
+        # Five points in one chunk all emit the same dynamic schema; its
+        # layout rides in each segment header, with no separate registry.
         from repro.trace.columnar import ColumnarStore
 
         points = [SweepPoint(key=(index,), func=f"{HERE}:emit_dynamic_schema",
@@ -239,10 +238,10 @@ class TestTraceMerging:
         path = str(tmp_path / "dd.ctb")
         outcome = run_sweep(spec, workers=1, chunk_size=5, trace_path=path)
         outcome.raise_if_failed()
-        shipped = [result.trace_schemas for result in outcome.results]
-        assert sum(len(schemas) for schemas in shipped) == 1
-        assert shipped[0] == (("ibuffer.custom", ("alpha", "beta"), ""),)
-        # The layout still reaches the merged bundle despite the dedupe.
+        assert [(header["schema"], header["fields"])
+                for result in outcome.results
+                for header, _ in result.trace_segments] == \
+            [("ibuffer.custom", ["alpha", "beta"])] * 5
         store = ColumnarStore.load(path)
         assert store.schemas() == ["ibuffer.custom"]
         assert store.total_rows() == 5
