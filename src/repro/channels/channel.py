@@ -91,7 +91,10 @@ class Channel:
         #: Depth the "compiler" actually implemented (§3.1 limitation 1).
         self.depth = depth if compiled_depth is None else compiled_depth
         self.width_bits = width_bits
-        self.stats = ChannelStats()
+        self._stats = ChannelStats()
+        #: Wake hook of a unit parked on this channel (see ``ctx.
+        #: wait_readable``): every write that makes data visible calls it.
+        self._wake: Any = None
         self._producer: Any = None
         self._consumer: Any = None
         if self.depth > 0:
@@ -135,6 +138,14 @@ class Channel:
     def consumer(self) -> Any:
         return _resolve(self._consumer)
 
+    @property
+    def stats(self) -> ChannelStats:
+        """Dynamic statistics, including the failed polls of a parked
+        consumer charged up to the previous cycle."""
+        if self._wake is not None:
+            self._wake.settle()
+        return self._stats
+
     # -- occupancy ---------------------------------------------------------
 
     @property
@@ -152,8 +163,8 @@ class Channel:
 
     def _note_occupancy(self) -> None:
         occ = self.occupancy
-        if occ > self.stats.max_occupancy:
-            self.stats.max_occupancy = occ
+        if occ > self._stats.max_occupancy:
+            self._stats.max_occupancy = occ
 
     # -- non-blocking API (write_channel_nb_altera / read_channel_nb_altera)
 
@@ -165,9 +176,11 @@ class Channel:
         """
         if self._fifo is not None:
             ok = self._fifo.try_put(value)
-            self.stats.writes += 1 if ok else 0
-            self.stats.write_failures += 0 if ok else 1
+            self._stats.writes += 1 if ok else 0
+            self._stats.write_failures += 0 if ok else 1
             self._note_occupancy()
+            if ok and self._wake is not None:
+                self._wake.fire()
             return ok
         # depth 0: serve a blocked reader directly, else update the register.
         if self._pending_readers:
@@ -175,7 +188,9 @@ class Channel:
             reader.succeed(value)
         else:
             self._register = value
-        self.stats.writes += 1
+            if self._wake is not None:
+                self._wake.fire()
+        self._stats.writes += 1
         self._note_occupancy()
         return True
 
@@ -183,19 +198,19 @@ class Channel:
         """Non-blocking read. Returns ``(value, valid)``."""
         if self._fifo is not None:
             value, ok = self._fifo.try_get()
-            self.stats.reads += 1 if ok else 0
-            self.stats.read_failures += 0 if ok else 1
+            self._stats.reads += 1 if ok else 0
+            self._stats.read_failures += 0 if ok else 1
             return value, ok
         # depth 0: prefer a waiting rendezvous writer, else the register.
         if self._pending_writers:
             event, value = self._pending_writers.pop(0)
             event.succeed()
-            self.stats.reads += 1
+            self._stats.reads += 1
             return value, True
         if self._register is not Channel._UNSET:
-            self.stats.reads += 1
+            self._stats.reads += 1
             return self._register, True
-        self.stats.read_failures += 1
+        self._stats.read_failures += 1
         return None, False
 
     # -- blocking API (write_channel_altera / read_channel_altera) ---------
@@ -225,6 +240,8 @@ class Channel:
                 fifo._getters.popleft().succeed(value)
             elif len(fifo.items) < fifo.capacity and not fifo._putters:
                 fifo.items.append(value)
+                if self._wake is not None:
+                    self._wake.fire()
             else:
                 yield fifo.put(value)
         else:
@@ -234,8 +251,10 @@ class Channel:
             else:
                 event = Event(self.sim)
                 self._pending_writers.append((event, value))
+                if self._wake is not None:
+                    self._wake.fire()
                 yield event
-        stats = self.stats
+        stats = self._stats
         stats.writes += 1
         stats.write_stall_cycles += self.sim.now - start
         occ = len(fifo.items) if fifo is not None else (
@@ -274,7 +293,7 @@ class Channel:
                 event = Event(self.sim)
                 self._pending_readers.append(event)
                 value = yield event
-        stats = self.stats
+        stats = self._stats
         stats.reads += 1
         stats.read_stall_cycles += self.sim.now - start
         return value
@@ -355,10 +374,6 @@ class CounterRegisterChannel(Channel):
         self._stats.writes = elapsed
         self._stats.max_occupancy = 1 if elapsed else 0
         return self._stats
-
-    @stats.setter
-    def stats(self, value: ChannelStats) -> None:
-        self._stats = value
 
     # -- channel API --------------------------------------------------------
 

@@ -62,7 +62,9 @@ def _add_run_parser(sub) -> None:
     run.add_argument("--server", metavar="ADDR", default=None,
                      help="run on an emulation daemon ('host:port' or "
                           "'unix:/path') instead of in-process; output and "
-                          "--trace-out bundles are byte-identical")
+                          "--trace-out bundles are byte-identical "
+                          "(--trace-flush-rows is local-only and rejected "
+                          "here)")
 
 
 def _add_bench_parser(sub) -> None:
@@ -288,6 +290,10 @@ def _experiment_params(args) -> Dict[str, Any]:
 
 def _run_experiments(args) -> int:
     if args.server:
+        if args.trace_flush_rows:
+            print("error: --trace-flush-rows applies to local captures "
+                  "only; drop it with --server", file=sys.stderr)
+            return 2
         return _run_experiments_remote(args)
     hub = None
     sink = None

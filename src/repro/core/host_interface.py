@@ -93,8 +93,9 @@ class HostController:
         self.fabric.advance(self.command_latency)
         self.fabric.run_kernel(self.kernel, {
             "cmd": int(command), "id": unit, "out": self._out_name})
-        # The ibuffer polls its command channel once per cycle; give it a
-        # couple of cycles to observe the command before returning.
+        # The ibuffer sees the command at its next poll (an idle unit is
+        # parked and woken by the write); give it a couple of cycles to
+        # act on it before returning.
         self.fabric.advance(3)
 
     def reset(self, unit: int = 0) -> None:

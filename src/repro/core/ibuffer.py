@@ -5,7 +5,10 @@ Implements the framework of §4 / Listing 8 / Figures 1 and 3:
 * a **stall-free, single-cycle-launch outer loop** — every cycle the kernel
   polls its data-in, command, and (optionally) auxiliary channels, so
   producers' non-blocking writes are always drained and the design under
-  test is never back-pressured;
+  test is never back-pressured. An idle cycle (nothing arrived, not in
+  READ) yields ``ctx.wait_readable`` instead of ``ctx.cycle``: the model
+  skips the polls that would find nothing, with identical observable
+  behaviour (see ``docs/PERFORMANCE.md`` §9);
 * a **state machine** (RESET / SAMPLE / STOP / READ) driven by commands
   from the host interface kernel and by internal events (read drained);
 * a **trace buffer in local memory** written in linear or cyclic mode;
@@ -129,6 +132,13 @@ class IBuffer(AutorunKernel):
         self.states[cu] = state
         read_slots: List[int] = []
         read_pos = 0  # word index within the fixed-length readout
+        wpe = self.layout.words_per_entry
+        memory = ctx.local("trace")
+        polled = [self.data_c[cu], self.cmd_c[cu]]
+        if self.addr_c is not None:
+            polled.insert(0, self.addr_c[cu])
+        idle = ctx.wait_readable(polled)
+        has_aux = False
 
         while True:
             now = self.timestamp.synthesize_behavior()
@@ -171,9 +181,8 @@ class IBuffer(AutorunKernel):
 
             if state == IBufferState.READ:
                 if read_pos < self.words_per_readout:
-                    wpe = self.layout.words_per_entry
                     slot = read_slots[read_pos // wpe]
-                    word = trace.read_slot(slot)[read_pos % wpe]
+                    word = memory.peek(slot * wpe + read_pos % wpe)
                     if ctx.write_channel_nb(self.out_c[cu], word):
                         read_pos += 1
                 else:
@@ -182,7 +191,13 @@ class IBuffer(AutorunKernel):
                     state = IBufferState.STOP
                     self.states[cu] = state
 
-            yield ctx.cycle()
+            if (state == IBufferState.READ or has_data or has_command
+                    or has_aux):
+                yield ctx.cycle()
+            else:
+                # Nothing arrived and nothing to drain: the next cycles
+                # repeat this one until a producer writes.
+                yield idle
 
     # -- synthesis accounting -------------------------------------------
 

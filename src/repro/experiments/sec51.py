@@ -34,6 +34,8 @@ class Sec51Result:
     ground_truth: List[int]
     result_correct: bool
     unloaded_latency: int
+    #: Simulated cycles of the whole run (launch and trace readout).
+    cycles: int = 0
 
     @property
     def measured(self) -> List[int]:
@@ -104,4 +106,5 @@ def run(rows_a: int = 8, col_a: int = 16, col_b: int = 8,
         ground_truth=truth,
         result_correct=correct,
         unloaded_latency=unloaded,
+        cycles=fabric.sim.now,
     )

@@ -76,6 +76,8 @@ class Sec52Result:
     invariance_violations: List[WatchEvent]
     expected_bound_violations: int
     expected_invariance_violations: int
+    #: Simulated cycles of the whole run (launch and trace readout).
+    cycles: int = 0
 
     @property
     def bound_check_correct(self) -> bool:
@@ -148,4 +150,5 @@ def run(n: int = 24, offset: int = 4, src_size: int = 24,
         invariance_violations=invariance,
         expected_bound_violations=expected_bounds,
         expected_invariance_violations=expected_invariance,
+        cycles=fabric.sim.now,
     )

@@ -176,6 +176,41 @@ def bench_matmul_end_to_end() -> Tuple[float, Dict]:
     }
 
 
+def bench_sec51_stall_monitor() -> Tuple[float, Dict]:
+    """§5.1 at paper size: matmul under the stall monitor, READ drains
+    included (mostly idle ibuffer units)."""
+    from repro.experiments import sec51
+
+    start = time.perf_counter()
+    result = sec51.run()
+    elapsed = time.perf_counter() - start
+    if not (result.result_correct and result.matches_ground_truth
+            and result.observed_stalls):
+        raise AssertionError("sec51 report is not correct")
+    return result.cycles / elapsed, {
+        "simulated_cycles": result.cycles,
+        "elapsed_s": elapsed,
+        "samples": len(result.samples),
+    }
+
+
+def bench_sec52_watchpoint() -> Tuple[float, Dict]:
+    """§5.2 at paper size: the faulty stencil under smart watchpoints."""
+    from repro.experiments import sec52
+
+    start = time.perf_counter()
+    result = sec52.run()
+    elapsed = time.perf_counter() - start
+    if not (result.bound_check_correct and result.invariance_check_correct
+            and result.watch_hits):
+        raise AssertionError("sec52 report is not correct")
+    return result.cycles / elapsed, {
+        "simulated_cycles": result.cycles,
+        "elapsed_s": elapsed,
+        "watch_hits": len(result.watch_hits),
+    }
+
+
 def bench_matvec_fig2_traced() -> Tuple[float, Dict]:
     """Figure 2 with full trace capture and columnar sealing.
 
@@ -663,6 +698,8 @@ BENCHMARKS: Dict[str, Tuple[Callable[[], Tuple[float, Dict]], str, int]] = {
     "matvec_fig2": (bench_matvec_fig2, "sim-cycles/s", 3),
     "matvec_fig2_traced": (bench_matvec_fig2_traced, "sim-cycles/s", 3),
     "matmul_end_to_end": (bench_matmul_end_to_end, "sim-cycles/s", 3),
+    "sec51_stall_monitor": (bench_sec51_stall_monitor, "sim-cycles/s", 3),
+    "sec52_watchpoint": (bench_sec52_watchpoint, "sim-cycles/s", 3),
     "listings_frontend": (bench_listings_frontend, "sim-cycles/s", 3),
     "frontend_compile": (bench_frontend_compile, "programs/s", 3),
     "trace_query_scan": (bench_trace_query_scan, "rows/s", 3),

@@ -144,6 +144,21 @@ class KernelContext:
         """
         return _CYCLE_BOUNDARY
 
+    def wait_readable(self, channels: Any) -> ops.WaitReadable:
+        """Idle until one of ``channels`` has data (at least one cycle).
+
+        The outer loop of an autorun kernel that polled ``channels`` with
+        non-blocking reads and got nothing yields this instead of
+        :meth:`cycle`: it resumes at the first later cycle on which its
+        polls would succeed, with the failed polls in between counted in
+        each channel's ``read_failures``. Yield the op once per idle cycle
+        in which every read of exactly these channels failed.
+        """
+        owner = self._instance.endpoint_owner
+        for channel in channels:
+            channel.bind_consumer(owner)
+        return ops.WaitReadable(channels)
+
     def barrier(self, site: Optional[str] = None) -> ops.Barrier:
         """OpenCL ``barrier(CLK_LOCAL_MEM_FENCE)``: group-wide sync point."""
         return ops.Barrier(site)

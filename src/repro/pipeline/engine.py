@@ -29,8 +29,9 @@ Op execution has two interchangeable executors (see ``docs/PERFORMANCE.md``,
 * the **fast executor** (default): a type-keyed dispatch table
   (:data:`OP_DISPATCH`) with the dominant ops inlined straight into the
   drive loop, zero-latency compute runs fused into one scheduler visit,
-  and autorun ``CycleBoundary`` steps parked on one shared broadcast tick
-  per ``(cycle, phase)``;
+  autorun ``CycleBoundary`` steps parked on one shared broadcast tick
+  per ``(cycle, phase)``, and idle ``WaitReadable`` units parked on their
+  channels' wake hooks until a producer writes;
 * the **reference executor** (``executor="reference"``): the original
   one-generator-per-op interpretation loop, kept as the semantic oracle
   for the dispatch property suite.
@@ -42,6 +43,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.channels.channel import Channel
 from repro.errors import KernelBuildError, KernelError
 from repro.memory.lsu import LoadStoreUnit
 from repro.pipeline import ops
@@ -140,6 +142,91 @@ class EngineStats:
         if self.start_cycle is None or self.finish_cycle is None:
             return None
         return self.finish_cycle - self.start_cycle
+
+
+class _Wake:
+    """The wake hook of one unit parked on :class:`~repro.pipeline.ops.
+    WaitReadable`, held by each watched channel while the unit is parked.
+
+    The unit last polled at the cycle it parked. A write that makes data
+    visible in a watched channel at cycle ``t`` calls :meth:`fire`, which
+    schedules the unit's resume in its own lane at ``max(t, parked + 1)``:
+    the first poll a polling unit would have seen the data at. Each poll
+    skipped meanwhile is a failed non-blocking read of every watched
+    channel; :meth:`settle` charges those up to the previous cycle whenever
+    channel statistics are read, so they match the polling model at every
+    cycle boundary.
+    """
+
+    __slots__ = ("sim", "channels", "lane", "event", "counted", "wake_at")
+
+    def __init__(self, sim: Any, channels: Tuple[Channel, ...],
+                 lane: int) -> None:
+        self.sim = sim
+        self.channels = channels
+        self.lane = lane
+        self.event = Event(sim)
+        #: Last cycle whose poll is already in the channels' statistics.
+        self.counted = sim.now
+        self.wake_at: Optional[int] = None
+        for channel in channels:
+            channel._wake = self
+
+    def _charge(self, upto: int) -> None:
+        skipped = upto - self.counted
+        if skipped > 0:
+            for channel in self.channels:
+                channel._stats.read_failures += skipped
+            self.counted = upto
+
+    def settle(self) -> None:
+        """Charge the polls skipped before the current cycle."""
+        self._charge(self.sim.now - 1)
+
+    def fire(self) -> None:
+        """A watched channel got data: resume the unit at its next poll."""
+        sim = self.sim
+        now = sim.now
+        wake_at = max(now, self.counted + 1)
+        self._charge(wake_at - 1)
+        self.release()
+        self.wake_at = wake_at
+        event = self.event
+        event._value = None
+        sim._schedule(event, wake_at - now, self.lane)
+
+    def release(self) -> None:
+        """Drop this hook from every watched channel still holding it."""
+        for channel in self.channels:
+            if channel._wake is self:
+                channel._wake = None
+
+    def unschedule(self) -> None:
+        """Take a fired but unconsumed resume back out of the queue, so a
+        killed unit leaves no event behind (see AutorunEngine.stop)."""
+        if self.wake_at is not None and self.event.callbacks is not None:
+            self.sim._unschedule(self.event, self.wake_at, self.lane)
+
+
+def _parkable(channels: Tuple[Channel, ...]) -> bool:
+    """Whether a late-lane unit may park on ``channels`` (else it polls).
+
+    Parking is exact when data only ever becomes visible through a hooked
+    write that lands before the late lane of its cycle. Three cases are
+    not, and keep the unit polling: a channel whose data appears without a
+    write (the analytic counter register), a channel another parked unit
+    already watches, and a channel produced by a late-phase autorun kernel
+    — its same-cycle writes are ordered against the unit by autorun start
+    order, which a wake-up cannot reproduce.
+    """
+    for channel in channels:
+        if type(channel) is not Channel or channel._wake is not None:
+            return False
+        producer = channel.producer
+        if (isinstance(producer, AutorunKernel)
+                and producer.phase == "late"):
+            return False
+    return True
 
 
 class _OpExecutor:
@@ -392,6 +479,33 @@ class _OpExecutor:
         yield self.sim.broadcast_tick(self._tick_priority)
         return None
 
+    def _op_wait_readable(self, generator: Generator, op: ops.Op,
+                          compute_id: int,
+                          ctx: Optional[KernelContext]) -> Generator:
+        sim = self.sim
+        lane = self._tick_priority
+        channels = op.channels
+        park = lane == PRIORITY_LATE and _parkable(channels)
+        while True:
+            if not park or any(channel.has_data for channel in channels):
+                yield sim.broadcast_tick(lane)
+            else:
+                wake = _Wake(sim, channels, lane)
+                try:
+                    yield wake.event
+                except GeneratorExit:
+                    wake.unschedule()
+                    raise
+                finally:
+                    wake.settle()
+                    wake.release()
+            for channel in channels:
+                if channel.has_data:
+                    return None
+            for channel in channels:
+                channel._stats.read_failures += 1
+            park = park and _parkable(channels)
+
     def _execute(self, op: ops.Op, site: str,
                  ctx: Optional[KernelContext] = None) -> Generator:
         """Execute one op; returns its result value (generator protocol)."""
@@ -434,6 +548,17 @@ class _OpExecutor:
             # The dominant event of autorun stepping: use the pooled tick.
             yield self.sim.tick(self._cycle_priority())
             return None
+        if isinstance(op, ops.WaitReadable):
+            # The polling loop the fast executor's parking must reproduce:
+            # one tick in the unit's lane per idle cycle, each a failed
+            # non-blocking read of every watched channel.
+            while True:
+                yield self.sim.tick(self._cycle_priority())
+                for channel in op.channels:
+                    if channel.has_data:
+                        return None
+                for channel in op.channels:
+                    channel.stats.read_failures += 1
         raise KernelBuildError(f"unknown op {op!r} from kernel {self.kernel.name!r}")
 
     def _barrier_arrive(self, site: str, ctx: Optional[KernelContext]) -> Event:
@@ -461,6 +586,7 @@ OP_DISPATCH: Dict[type, Any] = {
     ops.CollectReduction: _OpExecutor._op_collect,
     ops.MemFence: _OpExecutor._op_mem_fence,
     ops.CycleBoundary: _OpExecutor._op_cycle_boundary,
+    ops.WaitReadable: _OpExecutor._op_wait_readable,
 }
 
 

@@ -170,3 +170,19 @@ class CycleBoundary(Op):
     """Advance one clock cycle (autorun kernels' outer-loop heartbeat)."""
 
     __slots__ = ()
+
+
+class WaitReadable(Op):
+    """Advance at least one cycle, then until any of ``channels`` holds
+    data at this unit's poll point (an idle autorun unit's outer loop).
+
+    Equivalent to yielding cycle boundaries and polling the channels with
+    failed non-blocking reads in between; the fast executor parks the unit
+    instead and charges the skipped polls to the channels' statistics.
+    """
+
+    __slots__ = ("channels",)
+
+    def __init__(self, channels: Sequence[Any], site: Optional[str] = None) -> None:
+        super().__init__(site)
+        self.channels = tuple(channels)

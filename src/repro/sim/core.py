@@ -473,6 +473,29 @@ class Simulator:
             self._eid += 1
             heapq.heappush(self._far, (time, priority, self._eid, event))
 
+    def _unschedule(self, event: Event, time: Any, priority: int) -> None:
+        """Remove a scheduled, unprocessed ``event`` from the queue.
+
+        Cold path (a killed process's pending wake-up): a linear search of
+        the one lane (or the heap) the event was scheduled into.
+        """
+        if type(time) is int:
+            index = time & _WHEEL_MASK
+            slot = self._wheel[index]
+            if (slot is not None and slot[0] == time
+                    and event in slot[priority + 1]):
+                slot[priority + 1].remove(event)
+                self._wheel_count -= 1
+                if not (slot[1] or slot[2] or slot[3]):
+                    self._occupied &= ~(1 << index)
+                return
+        for position, entry in enumerate(self._far):
+            if entry[3] is event:
+                self._far.pop(position)
+                heapq.heapify(self._far)
+                return
+        raise SimulationError(f"{event!r} is not scheduled at {time}")
+
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
         far = self._far

@@ -87,6 +87,19 @@ class TestMain:
         assert "bound violations" in capsys.readouterr().out
 
 
+    def test_trace_flush_rows_with_server_rejected(self, capsys, tmp_path):
+        # Checked before any connection: the address is never dialled.
+        out = tmp_path / "x.ctb"
+        assert main(["run", "fig2", "--n", "5", "--num", "7",
+                     "--trace-out", str(out), "--trace-flush-rows", "16",
+                     "--server", "unix:" + str(tmp_path / "none.sock")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--trace-flush-rows" in captured.err
+        assert not out.exists()
+
+
 class TestClosedStdout:
     def test_reader_closing_early_leaves_no_traceback(self, tmp_path):
         """``repro-fpga trace query ... | head -1``: the CLI exits non-zero

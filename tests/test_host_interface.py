@@ -8,7 +8,7 @@ from repro.core.commands import IBufferCommand, IBufferState
 from repro.core.host_interface import HostController, HostInterfaceKernel
 from repro.core.ibuffer import IBuffer, IBufferConfig
 from repro.core.logic_blocks import RawRecorderLogic
-from repro.errors import IBufferError
+from repro.errors import IBufferError, SimulationError
 from repro.pipeline.kernel import SingleTaskKernel
 
 
@@ -96,6 +96,23 @@ class TestTraceReadout:
         second = controller.read_trace()
         assert len(first) == 2
         assert len(second) == 1
+
+    def test_read_from_reset_reports_deadlock_at_once(self, fabric):
+        """READ is ignored in RESET, so the host interface waits on an
+        output channel nothing will ever write. The idle unit is parked,
+        the queue drains, and the hang is reported as a deadlock right
+        away instead of after ``max_cycles`` of polling."""
+        ibuffer = IBuffer(fabric, "ib",
+                          logic_factory=lambda cu: RawRecorderLogic(),
+                          config=IBufferConfig(
+                              depth=4, initial_state=IBufferState.RESET))
+        kernel = HostInterfaceKernel(ibuffer)
+        fabric.advance(5)
+        with pytest.raises(SimulationError, match="deadlock"):
+            fabric.run_kernel(kernel, {"cmd": int(IBufferCommand.READ),
+                                       "id": 0, "out": "readout"})
+        assert fabric.sim.now < 10
+        assert ibuffer.states[0] == IBufferState.RESET
 
     def test_foreign_kernel_on_same_channel_rejected(self, fabric):
         """SPSC endpoint discipline: a *different* kernel cannot produce on

@@ -79,3 +79,70 @@ class TestIBufferFuzz:
                     for entry in ibuffer.trace_buffers[0].entries()]
         assert recorded == reference.entries
         assert ibuffer.samples_dropped[0] == reference.dropped_out_of_sample
+
+
+class _CycleReference(_Reference):
+    """Cycle-level model: host writes queue in the channel FIFOs and the
+    unit takes at most one command, then one datum, per cycle."""
+
+    def __init__(self, depth: int, cmd_depth: int, data_depth: int) -> None:
+        super().__init__(depth)
+        self.commands: list = []
+        self.values: list = []
+        self.cmd_depth = cmd_depth
+        self.data_depth = data_depth
+
+    def write(self, queue: list, capacity: int, item) -> bool:
+        if len(queue) >= capacity:
+            return False
+        queue.append(item)
+        return True
+
+    def advance(self, cycles: int) -> None:
+        for _ in range(cycles):
+            if self.commands:
+                self.command(self.commands.pop(0))
+            if self.values:
+                self.data(self.values.pop(0))
+
+
+class TestIBufferFuzzSameCycle:
+    """Settling 0-1 cycles after a write puts several writes, and the
+    wake-ups they cause, in one cycle; a FIFO-level model must still
+    predict the unit exactly."""
+
+    @given(steps=_steps, depth=st.integers(min_value=1, max_value=8),
+           settles=st.lists(st.integers(0, 1), min_size=30, max_size=30))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_cycle_reference(self, steps, depth, settles):
+        config = IBufferConfig(count=1, depth=depth, mode=SamplingMode.LINEAR)
+        fabric = Fabric()
+        ibuffer = IBuffer(fabric, "fuzz",
+                          logic_factory=lambda cu: RawRecorderLogic(),
+                          config=config)
+        fabric.advance(2)
+        reference = _CycleReference(depth, config.command_channel_depth,
+                                    config.data_channel_depth)
+
+        for (kind, payload), settle in zip(steps, settles):
+            if kind == "cmd":
+                assert ibuffer.cmd_c[0].write_nb(int(payload)) == \
+                    reference.write(reference.commands,
+                                    reference.cmd_depth, payload)
+            elif kind == "data":
+                assert ibuffer.data_c[0].write_nb(payload) == \
+                    reference.write(reference.values,
+                                    reference.data_depth, payload)
+            else:
+                settle = payload
+            fabric.advance(settle)
+            reference.advance(settle)
+            assert ibuffer.states[0] == reference.state
+
+        fabric.advance(16)
+        reference.advance(16)
+        assert ibuffer.states[0] == reference.state
+        recorded = [entry["value"]
+                    for entry in ibuffer.trace_buffers[0].entries()]
+        assert recorded == reference.entries
+        assert ibuffer.samples_dropped[0] == reference.dropped_out_of_sample
